@@ -4,7 +4,8 @@ Subcommands: ``curvature`` (full expansion), ``cq`` (one path sum),
 ``binom`` (Gaussian binomial), ``infinitesimal`` (first-order
 coefficients), ``verify`` (cross-validation suite).  Output formats:
 text, latex, json.  Exit codes: 0 success, 1 verification failure,
-2 argument error.  All output is deterministic.
+2 argument error, 3 unexpected internal error (one line on stderr).
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 
 from .curvature import (
     InfinitesimalCoefficients,
+    generic_expansion,
     infinitesimal_coefficients,
-    path_expansion,
     resolve_default_rule,
     root_of_unity_expansion,
     verify_suite,
@@ -136,7 +137,7 @@ def _run_curvature(args: argparse.Namespace) -> int:
         expansion = root_of_unity_expansion(args.n, rule)
         top = args.n - 1
     else:
-        expansion = path_expansion(args.n, rule)
+        expansion = generic_expansion(args.n, rule)
         top = args.n
     if args.format == "json":
         _emit_json(expansion.to_json_dict())
@@ -226,6 +227,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except Exception as exc:  # exit code 1 is reserved for a failed verification
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

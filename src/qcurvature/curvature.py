@@ -3,9 +3,16 @@
 The n-th power of the deformed differential d + a expands as a sum of
 element coefficients times powers of d.  This module assembles that
 expansion three independent ways (weighted path model, direct operator
-expansion, q-binomial recursion formula), reduces it at roots of unity,
+expansion, q-binomial power formula), reduces it at roots of unity,
 extracts the first-order (infinitesimal) coefficients, and packages all
 pairwise consistency checks into a verification report.
+
+Routes.  The power formula is the production route of both modes
+(:func:`generic_expansion`, :func:`root_of_unity_expansion`) under the
+oracle-arbitrated weight rule.  The path model (:func:`path_expansion`,
+:func:`path_root_expansion`) and the operator expansion are oracles; the
+path model also serves an explicitly chosen rule, which the power formula
+does not cover.
 """
 
 from __future__ import annotations
@@ -76,23 +83,43 @@ class CurvatureExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CurvatureExpansion:
-        c: dict[int, ElementPoly] = {}
-        for entry in data["c"]:
-            terms = {
-                (Monomial(Comp(tuple(item["s"]))), 0): poly_from_coeffs(item["coeff"])
-                for item in entry["terms"]
-            }
-            c[int(entry["k"])] = ElementPoly(OperatorPoly(terms))
-        return cls(
-            n=int(data["n"]),
-            mode=data["mode"],
-            rule=WeightRule(data["rule"]),
-            c=c,
-        )
+        """Inverse of :meth:`to_json_dict`; raises ValueError on a malformed payload."""
+        try:
+            c: dict[int, ElementPoly] = {}
+            for entry in data["c"]:
+                terms = {
+                    (Monomial(Comp(_json_list(item["s"]))), 0): poly_from_coeffs(
+                        _json_list(item["coeff"])
+                    )
+                    for item in entry["terms"]
+                }
+                c[_json_int(entry["k"])] = ElementPoly(OperatorPoly(terms))
+            if data["mode"] not in (GENERIC, ROOT):
+                raise ValueError(f"unknown mode {data['mode']!r}")
+            return cls(
+                n=_json_int(data["n"]),
+                mode=data["mode"],
+                rule=WeightRule(data["rule"]),
+                c=c,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed curvature expansion: {exc}") from exc
+
+
+def _json_int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_list(value: object) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
 
 
 def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Generic-mode expansion assembled from weighted path sums.
+    """Generic-mode expansion assembled from weighted path sums (an oracle).
 
     Every vertex reachable in n steps contributes its path sum as the
     coefficient of its word, attached to d^(number of stay steps).
@@ -113,12 +140,12 @@ def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion
     return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=coefficients)
 
 
-def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Expansion at a primitive n-th root of unity.
+def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
+    """Expansion at a primitive n-th root of unity from the path model (an oracle).
 
     Words containing a derivative of order >= n are dropped first, then
-    every coefficient is reduced modulo the n-th cyclotomic polynomial;
-    coefficients that vanish are removed.
+    every coefficient of :func:`path_expansion` is reduced modulo the n-th
+    cyclotomic polynomial; coefficients that vanish are removed.
     """
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
@@ -133,11 +160,63 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
 
 
+def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
+    """Coefficients of the n-th deformed power from the q-binomial power formula.
+
+    c[n] = 1 and c[n-k] = (n choose k)_q * M(k) for k = 1..n, where M(k) is
+    :func:`maurer_cartan_element`.  Keys ascend.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    c = {n - k: maurer_cartan_element(k).scaled(q_binomial(n, k)) for k in range(n, 0, -1)}
+    c[n] = ElementPoly.from_word()
+    return c
+
+
+def _power_formula_covers(rule: WeightRule) -> bool:
+    """The power formula is a theorem about the oracle-arbitrated rule only."""
+    return rule is resolve_default_rule()
+
+
+def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
+    """Generic-mode expansion: the production route.
+
+    Under the oracle-arbitrated rule this is :func:`power_formula_coefficients`;
+    any other rule goes through the path model, :func:`path_expansion`.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    rule = rule if rule is not None else resolve_default_rule()
+    if not _power_formula_covers(rule):
+        return path_expansion(n, rule)
+    return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=power_formula_coefficients(n))
+
+
+def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
+    """Expansion at a primitive n-th root of unity: the production route.
+
+    Under the oracle-arbitrated rule every middle Gaussian binomial of the
+    power formula vanishes at the root, so only c[0] = M(n) reduced modulo
+    the n-th cyclotomic polynomial survives (dropped when zero).  Every word
+    of M(n) has degree n, so none carries a derivative of order >= n.  Any
+    other rule goes through the path model, :func:`path_root_expansion`.
+    """
+    if n < 2:
+        raise ValueError("root-of-unity mode needs n >= 2")
+    rule = rule if rule is not None else resolve_default_rule()
+    if not _power_formula_covers(rule):
+        return path_root_expansion(n, rule)
+    reduced = maurer_cartan_element(n).reduce_mod(CycloModulus.of(n))
+    c = {} if reduced.is_zero() else {0: reduced}
+    return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
+
+
 def reduce_then_truncate(expansion: CurvatureExpansion) -> CurvatureExpansion:
     """Root-of-unity form computed in the opposite order (reduce, then drop).
 
     Truncation is coefficient-blind so this must agree with
-    :func:`root_of_unity_expansion`; the verify suite asserts it.
+    :func:`path_root_expansion`, and so with :func:`root_of_unity_expansion`;
+    the verify suite asserts the latter.
     """
     if expansion.mode != GENERIC:
         raise ValueError("expected a generic-mode expansion")
@@ -151,7 +230,7 @@ def reduce_then_truncate(expansion: CurvatureExpansion) -> CurvatureExpansion:
 
 
 def binomial_expansion(n: int) -> OperatorPoly:
-    """The n-th deformed power assembled from the q-binomial recursion formula.
+    """The n-th deformed power assembled from the q-binomial power formula.
 
     d^n plus, for k = 1..n-1, the Gaussian binomial (n choose k) times the
     (k-1)-fold deformed derivative of a times d^(n-k), plus the (n-1)-fold
@@ -159,11 +238,10 @@ def binomial_expansion(n: int) -> OperatorPoly:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = OperatorPoly({(Monomial(), n): ONE})
-    for k in range(1, n):
-        piece = maurer_cartan_element(k).times_d_power(n - k)
-        total = total + piece.scaled(q_binomial(n, k))
-    return total + maurer_cartan_element(n).to_operator()
+    total = OperatorPoly.zero()
+    for k, element in power_formula_coefficients(n).items():
+        total = total + element.times_d_power(k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +557,7 @@ def _check_oracle_equivalence(n: int, rule: WeightRule) -> CheckResult:
 
 
 def _check_maurer_cartan(n: int, rule: WeightRule) -> CheckResult:
-    expansion = root_of_unity_expansion(n, rule)
+    expansion = path_root_expansion(n, rule)
     modulus = CycloModulus.of(n)
     for k in range(1, n):
         coeff = expansion.coefficient(k)
@@ -544,9 +622,9 @@ def _check_dp_enum(n: int) -> CheckResult:
 
 
 def _check_reduction_commutes(n: int, rule: WeightRule) -> CheckResult:
-    generic = path_expansion(n, rule)
+    """The production root expansion against the path model reduced in the other order."""
     direct = root_of_unity_expansion(n, rule)
-    swapped = reduce_then_truncate(generic)
+    swapped = reduce_then_truncate(path_expansion(n, rule))
     status = "pass" if direct == swapped else "fail"
     return CheckResult("reduction-commutes", n, status, rule.value)
 

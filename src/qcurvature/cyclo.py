@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 from typing import Iterable
 
 
@@ -28,10 +29,21 @@ class QPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
+        c = int_tuple(self.coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> QPoly:
+        """Wrap an already canonical tuple of ints, skipping validation.
+
+        Internal kernel constructor: the caller guarantees ``coeffs`` is a
+        tuple of ``int`` with no trailing zero.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     @classmethod
     def from_int(cls, n: int) -> QPoly:
@@ -65,12 +77,15 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(tuple(out))
+        if len(a) == len(b):  # only equal lengths can cancel the top
+            while out and out[-1] == 0:
+                out.pop()
+        return QPoly._trusted(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._trusted(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: QPoly | int) -> QPoly:
         return self + (-_coerce(other))
@@ -82,15 +97,27 @@ class QPoly:
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(tuple(out))
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        width = len(a)
+        out = [0] * (width + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                row = a if cb == 1 else [cb * ca for ca in a]
+                out[j : j + width] = map(add, out[j : j + width], row)
+        # Z has no zero divisors, so the top coefficient is nonzero
+        return QPoly._trusted(tuple(out))
 
     __rmul__ = __mul__
+
+    def shift(self, e: int) -> QPoly:
+        """The product with the monomial ``q**e``: a shift of the coefficients."""
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        if not e or not self.coeffs:
+            return self
+        return QPoly._trusted((0,) * e + self.coeffs)
 
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
@@ -124,7 +151,7 @@ class QPoly:
                 rem[shift + i] -= head * c
             while rem and rem[-1] == 0:
                 rem.pop()
-        return QPoly(tuple(quot)), QPoly(tuple(rem))
+        return QPoly(tuple(quot)), QPoly._trusted(tuple(rem))
 
     def exact_div(self, divisor: QPoly) -> QPoly:
         """Quotient of an exact division; raises ValueError on a remainder."""
@@ -187,6 +214,15 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly('{self}')"
+
+
+def int_tuple(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as a tuple, rejecting anything but ``int`` (``bool`` included)."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise TypeError(f"expected an int, got {type(x).__name__} {x!r}")
+    return out
 
 
 def _coerce(value: QPoly | int) -> QPoly:
@@ -273,8 +309,9 @@ class CycloModulus:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("a primitive root of unity needs n >= 2")
-        if self.phi.coeffs[-1:] != (1,):
-            raise ValueError("modulus must be monic")
+        # reduce() folds modulo q^n - 1 first, which is exact only for Phi_n
+        if self.phi != cyclotomic(self.n):
+            raise ValueError(f"modulus must be the {self.n}-th cyclotomic polynomial")
 
     @classmethod
     def of(cls, n: int) -> CycloModulus:
@@ -287,9 +324,17 @@ class CycloModulus:
 def reduce(p: QPoly, m: CycloModulus) -> QPoly:
     """Unique remainder of p modulo the cyclotomic modulus.
 
-    The modulus is monic, so the remainder keeps integer coefficients and
-    has degree < deg(phi).
+    p is first folded modulo q^n - 1, an O(deg p) rotation that is exact
+    because Phi_n divides q^n - 1; one long division by Phi_n then finishes
+    a remainder of degree < n.  The modulus is monic, so the result keeps
+    integer coefficients and has degree < deg(phi).
     """
+    c, n = p.coeffs, m.n
+    if len(c) > n:
+        folded = [sum(c[i::n]) for i in range(n)]
+        while folded and folded[-1] == 0:
+            folded.pop()
+        p = QPoly._trusted(tuple(folded))
     _, rem = divmod(p, m.phi)
     return rem
 

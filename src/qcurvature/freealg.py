@@ -184,11 +184,11 @@ class OperatorPoly:
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         acc: dict[tuple[Monomial, int], QPoly] = {}
+        pushed = [other]  # pushed[k] is d^k * other, shared by every term with dpow k
         for (mono_a, dpow_a), coeff_a in self._terms.items():
-            pushed = other
-            for _ in range(dpow_a):
-                pushed = _d_times(pushed)
-            for (mono_b, dpow_b), coeff_b in pushed._terms.items():
+            while len(pushed) <= dpow_a:
+                pushed.append(_d_times(pushed[-1]))
+            for (mono_b, dpow_b), coeff_b in pushed[dpow_a]._terms.items():
                 key = (mono_a * mono_b, dpow_b)
                 acc[key] = acc.get(key, ZERO) + coeff_a * coeff_b
         return OperatorPoly(acc)
@@ -238,33 +238,33 @@ def _term_text(term: Term) -> str:
 
 
 @cache
-def _word_rewrite(comp: Comp) -> OperatorPoly:
+def _word_rewrite(comp: Comp) -> tuple[tuple[Monomial, int, int], ...]:
     """Normal form of d times the word with exponent vector ``comp``.
 
+    Returned as ``(word, dpow, e)`` triples, each standing for
+    ``q^e * word * d^dpow``: the rewrite only ever multiplies by a power of
+    q and never merges two terms, so every coefficient is one monomial.
     Recursive application of the single rewrite rule; the closed prefix-sum
     formula is *not* used here, so this stays an independent route.
     """
     if not comp.entries:
-        return OperatorPoly.d()
-    head, rest = comp.entries[0], Comp(comp.entries[1:])
-    bumped = OperatorPoly({(Monomial(Comp((head + 1,) + rest.entries)), 0): ONE})
-    passed = OperatorPoly(
-        {
-            (Monomial(Comp((head,) + mono.comp.entries)), dpow): coeff
-            * QPoly.monomial(head + 1)
-            for (mono, dpow), coeff in _word_rewrite(rest)._terms.items()
-        }
+        return ((UNIT, 1, 0),)
+    head, rest = comp.entries[0], comp.entries[1:]
+    bumped = (Monomial(Comp._trusted((head + 1,) + rest)), 0, 0)
+    passed = tuple(
+        (Monomial(Comp._trusted((head,) + mono.comp.entries)), dpow, e + head + 1)
+        for mono, dpow, e in _word_rewrite(Comp._trusted(rest))
     )
-    return bumped + passed
+    return (bumped,) + passed
 
 
 def _d_times(op: OperatorPoly) -> OperatorPoly:
     """Left multiplication by the single generator d."""
     acc: dict[tuple[Monomial, int], QPoly] = {}
     for (mono, dpow), coeff in op._terms.items():
-        for (mono2, extra), weight in _word_rewrite(mono.comp)._terms.items():
+        for mono2, extra, e in _word_rewrite(mono.comp):
             key = (mono2, dpow + extra)
-            acc[key] = acc.get(key, ZERO) + coeff * weight
+            acc[key] = acc.get(key, ZERO) + coeff.shift(e)
     return OperatorPoly(acc)
 
 
@@ -376,13 +376,13 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
     and the term is weighted by q to the degree of everything to its left.
     """
     acc: dict[tuple[Monomial, int], QPoly] = {}
-    for mono, coeff in p.items():
+    for (mono, _), coeff in p._op._terms.items():
         entries = mono.comp.entries
         left_degree = 0
         for i, entry in enumerate(entries):
-            raised = Monomial(Comp(entries[:i] + (entry + 1,) + entries[i + 1 :]))
-            key = (raised, 0)
-            acc[key] = acc.get(key, ZERO) + coeff * QPoly.monomial(left_degree)
+            raised = Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :])
+            key = (Monomial(raised), 0)
+            acc[key] = acc.get(key, ZERO) + coeff.shift(left_degree)
             left_degree += entry + 1
     return ElementPoly(OperatorPoly(acc))
 
@@ -390,7 +390,8 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
 def multiply_by_a(p: ElementPoly) -> ElementPoly:
     """Left multiplication by the deforming element: prepend a to each word."""
     acc = {
-        (Monomial(mono.comp.prepended()), 0): coeff for mono, coeff in p.items()
+        (Monomial(mono.comp.prepended()), 0): coeff
+        for (mono, _), coeff in p._op._terms.items()
     }
     return ElementPoly(OperatorPoly(acc))
 

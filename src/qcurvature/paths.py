@@ -15,7 +15,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .cyclo import ONE, ZERO, QPoly
+from .cyclo import ONE, ZERO, QPoly, int_tuple
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,17 @@ class Comp:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        e = tuple(int(x) for x in self.entries)
+        e = int_tuple(self.entries)
         if any(x < 0 for x in e):
             raise ValueError("entries must be nonnegative")
         object.__setattr__(self, "entries", e)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> Comp:
+        """Wrap a tuple already known to hold nonnegative ints, skipping validation."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "entries", entries)
+        return c
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -47,28 +54,17 @@ class Comp:
         """Entries strictly before 1-indexed position i; prefix(1) is empty."""
         if not 1 <= i <= len(self.entries) + 1:
             raise IndexError(f"position {i} out of range")
-        return Comp(self.entries[: i - 1])
-
-    def suffix(self, i: int) -> Comp:
-        """Entries strictly after 1-indexed position i.
-
-        Provided for API completeness; no operation in this package
-        consumes it.
-        """
-        if not 1 <= i <= len(self.entries):
-            raise IndexError(f"position {i} out of range")
-        return Comp(self.entries[i:])
+        return Comp._trusted(self.entries[: i - 1])
 
     def incremented(self, i: int) -> Comp:
         """Copy with 1-indexed entry i raised by one."""
         if not 1 <= i <= len(self.entries):
             raise IndexError(f"position {i} out of range")
-        e = list(self.entries)
-        e[i - 1] += 1
-        return Comp(tuple(e))
+        e = self.entries
+        return Comp._trusted(e[: i - 1] + (e[i - 1] + 1,) + e[i:])
 
     def prepended(self) -> Comp:
-        return Comp((0,) + self.entries)
+        return Comp._trusted((0,) + self.entries)
 
     def sort_key(self) -> tuple:
         return (len(self.entries), tuple(reversed(self.entries)))

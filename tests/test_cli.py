@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import qcurvature.cli as cli
 from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
@@ -209,6 +210,18 @@ class TestArgumentErrors:
 
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_three_with_one_line(self, capsys, monkeypatch):
+        def crash(n, k):
+            raise RecursionError("maximum recursion depth exceeded\nwhile calling")
+
+        monkeypatch.setattr(cli, "q_binomial", crash)
+        code, out, err = invoke(capsys, "binom", "--n", "3000", "--k", "1500")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal failure: RecursionError: maximum recursion depth exceeded while calling\n"
 
 
 class TestScriptedInvocations:

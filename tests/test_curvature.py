@@ -1,16 +1,21 @@
 """Tests for the curvature expansions and the cross-validation suite."""
 
+import copy
+
 import pytest
 
+import qcurvature.curvature as curvature
 from qcurvature.curvature import (
     COMPOSITION_SUM_READINGS,
     CurvatureExpansion,
     binomial_expansion,
     four_step_listing_mismatches,
+    generic_expansion,
     infinitesimal_coefficients,
     infinitesimal_composition_sum,
     infinitesimal_from_operator,
     path_expansion,
+    path_root_expansion,
     reduce_then_truncate,
     resolve_default_rule,
     root_of_unity_expansion,
@@ -109,6 +114,25 @@ class TestRootOfUnityExpansion:
             root_of_unity_expansion(1, PREFIX)
 
 
+class TestProductionRoutes:
+    """The power-formula production route against the path model, exactly."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_generic_matches_path_model(self, n):
+        assert generic_expansion(n) == path_expansion(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_root_matches_path_model(self, n):
+        assert root_of_unity_expansion(n) == path_root_expansion(n)
+
+    def test_explicit_literal_rule_goes_through_path_model(self):
+        # the power formula does not hold for the literal rule from n = 3 on
+        assert generic_expansion(4, LITERAL) == path_expansion(4, LITERAL)
+        assert generic_expansion(4, LITERAL).c != generic_expansion(4, PREFIX).c
+        assert root_of_unity_expansion(4, LITERAL) == path_root_expansion(4, LITERAL)
+        assert root_of_unity_expansion(4, LITERAL).c != root_of_unity_expansion(4, PREFIX).c
+
+
 class TestBinomialExpansion:
     def test_n2_structure(self):
         assert binomial_expansion(2) == OperatorPoly.from_terms(
@@ -192,6 +216,31 @@ class TestJsonRoundTrip:
         e = root_of_unity_expansion(n, PREFIX)
         assert CurvatureExpansion.from_json_dict(e.to_json_dict()) == e
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("c", 0, "terms", 0, "coeff"), [1.5]),
+            (("c", 0, "terms", 0, "coeff"), [True]),
+            (("c", 0, "terms", 0, "coeff"), "1"),
+            (("c", 0, "terms", 0, "s"), [1.0]),
+            (("c", 0, "terms", 0, "s"), "1"),
+            (("c", 0, "k"), "0"),
+            (("c", 0, "terms"), 5),
+            (("n",), 2.0),
+            (("mode",), "sideways"),
+            (("rule",), 3),
+            (("c",), None),
+        ],
+    )
+    def test_rejects_malformed(self, path, value):
+        data = copy.deepcopy(root_of_unity_expansion(2, PREFIX).to_json_dict())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError):
+            CurvatureExpansion.from_json_dict(data)
+
 
 class TestArbitrationAndVerify:
     def test_default_rule_is_prefix(self):
@@ -228,6 +277,30 @@ class TestArbitrationAndVerify:
         assert not report.passed
         failing = [c for c in report.checks if c.status == "fail"]
         assert any(c.check == "oracle-equivalence" and c.rule == "literal" for c in failing)
+
+    def test_wrong_maurer_cartan_element_fails_verify(self, monkeypatch):
+        # the production routes read M(n) from here; the path model does not
+        def wrong(n):
+            return maurer_cartan_element(n) + ElementPoly.from_word(*([0] * n))
+
+        monkeypatch.setattr(curvature, "maurer_cartan_element", wrong)
+        report = verify_suite(6)
+        assert not report.passed
+        failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
+        assert {"maurer-cartan", "reduction-commutes", "binomial-formula"} <= failing
+
+    def test_wrong_root_route_fails_verify(self, monkeypatch):
+        real = curvature.root_of_unity_expansion
+
+        def wrong(n, rule=None):
+            right = real(n, rule)
+            return CurvatureExpansion(n, right.mode, right.rule, {0: right.coefficient(0).scaled(2)})
+
+        monkeypatch.setattr(curvature, "root_of_unity_expansion", wrong)
+        report = verify_suite(6)
+        assert not report.passed
+        failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
+        assert failing == {"reduction-commutes"}
 
     def test_four_step_listing_mismatches(self):
         mismatches = {m.s: m for m in four_step_listing_mismatches()}

@@ -33,6 +33,19 @@ class TestQPoly:
         assert QPoly((0, 0)).coeffs == ()
         assert QPoly().is_zero()
 
+    @pytest.mark.parametrize("bad", [1.7, True, "1", None])
+    def test_rejects_non_int_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            QPoly((1, bad))
+
+    @given(qpolys, st.integers(0, 6))
+    def test_shift_is_a_monomial_product(self, p, e):
+        assert p.shift(e) == p * QPoly.monomial(e)
+
+    def test_shift_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            ONE.shift(-1)
+
     def test_monomial(self):
         assert QPoly.monomial(3).coeffs == (0, 0, 0, 1)
         assert QPoly.monomial(0, 5).coeffs == (5,)
@@ -174,6 +187,8 @@ class TestCyclotomic:
             CycloModulus.of(1)
         with pytest.raises(ValueError):
             CycloModulus(3, QPoly((1, 2)))  # not monic
+        with pytest.raises(ValueError):
+            CycloModulus(4, QPoly((1, 0, 0, 1)))  # monic, but not Phi_4
 
 
 class TestReduce:
@@ -200,6 +215,11 @@ class TestReduce:
         m = CycloModulus.of(n)
         assert reduce(p * r, m) == reduce(reduce(p, m) * reduce(r, m), m)
         assert reduce(p + r, m) == reduce(reduce(p, m) + reduce(r, m), m)
+
+    @given(st.lists(st.integers(-9, 9), max_size=40).map(tuple).map(QPoly), st.integers(2, 12))
+    def test_fold_then_divide_equals_plain_division(self, p, n):
+        m = CycloModulus.of(n)
+        assert reduce(p, m) == divmod(p, m.phi)[1]
 
     @given(qpolys, st.integers(2, 12))
     def test_reduce_is_idempotent(self, p, n):

@@ -28,8 +28,6 @@ class TestComp:
         assert s.prefix(1) == EMPTY
         assert s.prefix(3) == Comp((0, 1))
         assert s.prefix(4) == s
-        assert s.suffix(1) == Comp((1, 2))
-        assert s.suffix(3) == EMPTY
         assert s.incremented(2) == Comp((0, 2, 2))
         assert s.prepended() == Comp((0, 0, 1, 2))
 
@@ -39,6 +37,11 @@ class TestComp:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             Comp((1, -1))
+
+    @pytest.mark.parametrize("bad", [1.9, True, "1"])
+    def test_rejects_non_int_entries(self, bad):
+        with pytest.raises(TypeError):
+            Comp((0, bad))
 
     def test_index_bounds(self):
         with pytest.raises(IndexError):
