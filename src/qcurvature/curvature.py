@@ -9,7 +9,9 @@ pairwise consistency checks into a verification report.
 
 Routes.  The power formula is the production route of both modes
 (:func:`generic_expansion`, :func:`root_of_unity_expansion`) under the
-oracle-arbitrated weight rule.  The path model (:func:`path_expansion`,
+oracle-arbitrated weight rule, with M(k) = D^(k-1) a taken from its closed
+product formula (:func:`_closed_form_packed`).  The recursion defining M(k)
+(:func:`maurer_cartan_element`), the path model (:func:`path_expansion`,
 :func:`path_root_expansion`) and the operator expansion are oracles; the
 path model also serves an explicitly chosen rule, which the power formula
 does not cover.
@@ -19,9 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb, factorial
 from typing import Iterator
 
-from .cyclo import ONE, ZERO, CycloModulus, QPoly, coeffs_list, poly_from_coeffs, q_binomial
+from .cyclo import (
+    ONE,
+    ZERO,
+    CycloModulus,
+    QPoly,
+    coeffs_list,
+    poly_from_coeffs,
+    q_binomial,
+    remainder_of_folded,
+)
 from .freealg import (
     ElementPoly,
     Monomial,
@@ -85,23 +97,29 @@ class CurvatureExpansion:
     def from_json_dict(cls, data: dict) -> CurvatureExpansion:
         """Inverse of :meth:`to_json_dict`; raises ValueError on a malformed payload."""
         try:
+            n, mode = _json_int(data["n"]), data["mode"]
+            if mode not in (GENERIC, ROOT):
+                raise ValueError(f"unknown mode {mode!r}")
+            if n < (1 if mode == GENERIC else 2):
+                raise ValueError(f"n={n} is too small for {mode} mode")
+            # generic mode has powers d^0..d^n; at a root d^n is gone
+            top = n if mode == GENERIC else n - 1
             c: dict[int, ElementPoly] = {}
             for entry in data["c"]:
-                terms = {
-                    (Monomial(Comp(_json_list(item["s"]))), 0): poly_from_coeffs(
-                        _json_list(item["coeff"])
-                    )
-                    for item in entry["terms"]
-                }
-                c[_json_int(entry["k"])] = ElementPoly(OperatorPoly(terms))
-            if data["mode"] not in (GENERIC, ROOT):
-                raise ValueError(f"unknown mode {data['mode']!r}")
-            return cls(
-                n=_json_int(data["n"]),
-                mode=data["mode"],
-                rule=WeightRule(data["rule"]),
-                c=c,
-            )
+                k = _json_int(entry["k"])
+                if not 0 <= k <= top:
+                    raise ValueError(f"power k={k} out of range 0..{top} for {mode} n={n}")
+                terms = {}
+                for item in entry["terms"]:
+                    mono = Monomial(Comp(_json_list(item["s"])))
+                    if mono.degree() != n - k:
+                        raise ValueError(
+                            f"word {list(mono.comp.entries)} at k={k} has degree "
+                            f"{mono.degree()}, expected n - k = {n - k}"
+                        )
+                    terms[(mono, 0)] = poly_from_coeffs(_json_list(item["coeff"]))
+                c[k] = ElementPoly(OperatorPoly(terms))
+            return cls(n=n, mode=mode, rule=WeightRule(data["rule"]), c=c)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curvature expansion: {exc}") from exc
 
@@ -160,15 +178,107 @@ def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpa
     return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
 
 
+# ---------------------------------------------------------------------------
+# closed form of M(n), Kronecker-packed
+# ---------------------------------------------------------------------------
+#
+# The coefficient of the word s = (s_1, ..., s_m) in M(n) = D^(n-1) a is
+#
+#     M(n)[s] = prod_i [P_i + s_i choose s_i]_q,   P_i = sum_{j<i} (s_j + 1).
+#
+# M(n) arises from a by n - 1 operations, each prepending a new entry or
+# raising one; raising entry i is weighted by q^(degree left of i).  That
+# degree counts the operations already spent on the entries left of i, and
+# there are P_i of them in all, so the weights of the ways to shuffle entry
+# i's s_i raises among those P_i operations sum to a Gaussian binomial.
+#
+# A coefficient sum_e c_e q^e is packed as the int sum_e c_e 2^(bits*e)
+# (Kronecker substitution), so a product of coefficients is one int
+# multiply.  Packing is exact while every coefficient stays below 2^bits.
+# All coefficients involved are nonnegative, so each is at most the value
+# of its polynomial at q = 1.  At q = 1 the product above counts orderings
+# of the n - 1 operations, so it is at most (n-1)!: indeed
+# C(P_i + s_i, s_i) <= (P_i + s_i)! / P_i! = (P_{i+1} - 1)! / P_i!, and the
+# product of these telescopes to at most (n-1)!.  Scaled by [N choose n]_q
+# the bound is C(N, n) * (n-1)!.  :func:`_packing_bits` leaves one bit to
+# spare, which root mode needs (see :func:`root_of_unity_expansion`).
+
+
+def _packing_bits(big_n: int, n: int) -> int:
+    """Bits per power of q that hold every coefficient of [N choose n]_q * M(n)."""
+    return (comb(big_n, n) * factorial(n - 1)).bit_length() + 1
+
+
+def _pack(p: QPoly, bits: int) -> int:
+    return sum(c << (bits * e) for e, c in enumerate(p.coeffs))
+
+
+def _unpack(x: int, bits: int, length: int | None = None) -> list[int]:
+    """Inverse of :func:`_pack` for nonnegative coefficients below 2^bits.
+
+    Returns ``length`` coefficients when given, else exactly up to the
+    leading one.
+    """
+    if length is None:
+        length = -(-x.bit_length() // bits)
+    mask = (1 << bits) - 1
+    return [(x >> (bits * e)) & mask for e in range(length)]
+
+
+def _closed_form_packed(n: int, bits: int, start: int = 1) -> list[tuple[tuple[int, ...], int]]:
+    """Every word of degree n with ``start`` times its closed-form coefficient in M(n).
+
+    Coefficients are packed at ``bits`` bits per power of q; ``start`` is a
+    packed polynomial.  The compositions of n are walked depth-first,
+    carrying the product over the prefix, so each word costs one multiply
+    by a packed Gaussian binomial.  The caller picks ``bits`` large enough
+    (:func:`_packing_bits`).  The word (0, 1, 1) of M(5) has coefficient
+    [2]_q * [4]_q:
+
+    >>> packed = dict(_closed_form_packed(5, 8))
+    >>> _unpack(packed[(0, 1, 1)], 8)
+    [1, 2, 2, 2, 1]
+    """
+    # binomials[m][j] is [m choose j]_q, packed, for m < n
+    binomials = [[1]]
+    for m in range(1, n):
+        above = binomials[-1]
+        binomials.append(
+            [1] + [above[j - 1] + (above[j] << (bits * j)) for j in range(1, m)] + [1]
+        )
+    words = []
+    stack = [((), 0, start)]  # (prefix, its degree P, packed product over it)
+    while stack:
+        prefix, degree, product = stack.pop()
+        last = n - 1 - degree  # the entry that completes the word
+        for entry in range(last):
+            stack.append(
+                (prefix + (entry,), degree + entry + 1, product * binomials[degree + entry][entry])
+            )
+        words.append((prefix + (last,), product * binomials[n - 1][last]))
+    return words
+
+
+def _element(coefficients: dict[tuple[int, ...], QPoly]) -> ElementPoly:
+    return ElementPoly(
+        OperatorPoly({(Monomial(Comp._trusted(s)), 0): c for s, c in coefficients.items()})
+    )
+
+
 def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
     """Coefficients of the n-th deformed power from the q-binomial power formula.
 
-    c[n] = 1 and c[n-k] = (n choose k)_q * M(k) for k = 1..n, where M(k) is
-    :func:`maurer_cartan_element`.  Keys ascend.
+    c[n] = 1 and c[n-k] = (n choose k)_q * M(k) for k = 1..n, with M(k) in
+    its closed form (see :func:`_closed_form_packed`); the binomial is the
+    walk's packed starting value.  Keys ascend.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    c = {n - k: maurer_cartan_element(k).scaled(q_binomial(n, k)) for k in range(n, 0, -1)}
+    c = {}
+    for k in range(n, 0, -1):
+        bits = _packing_bits(n, k)
+        words = _closed_form_packed(k, bits, _pack(q_binomial(n, k), bits))
+        c[n - k] = _element({s: QPoly._trusted(tuple(_unpack(x, bits))) for s, x in words})
     c[n] = ElementPoly.from_word()
     return c
 
@@ -198,16 +308,30 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     Under the oracle-arbitrated rule every middle Gaussian binomial of the
     power formula vanishes at the root, so only c[0] = M(n) reduced modulo
     the n-th cyclotomic polynomial survives (dropped when zero).  Every word
-    of M(n) has degree n, so none carries a derivative of order >= n.  Any
-    other rule goes through the path model, :func:`path_root_expansion`.
+    of M(n) has degree n, so none carries a derivative of order >= n.  Each
+    word's closed-form coefficient is folded modulo q^n - 1 while packed,
+    then divided by Phi_n.  Any other rule goes through the path model,
+    :func:`path_root_expansion`.
     """
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
     rule = rule if rule is not None else resolve_default_rule()
     if not _power_formula_covers(rule):
         return path_root_expansion(n, rule)
-    reduced = maurer_cartan_element(n).reduce_mod(CycloModulus.of(n))
-    c = {} if reduced.is_zero() else {0: reduced}
+    # M(n) is taken in its closed form, packed.  Since 2^(bits*n) = 1 modulo
+    # ring, x % ring is congruent to the fold of x modulo q^n - 1, packed.
+    # The folded coefficients sum to at most (n-1)! < 2^(bits-1), so each is
+    # below 2^bits - 1; the packed fold is then below ring, hence it is the
+    # remainder itself.
+    bits = _packing_bits(n, n)
+    ring = (1 << (bits * n)) - 1
+    modulus = CycloModulus.of(n)
+    reduced = {}
+    for s, x in _closed_form_packed(n, bits):
+        value = remainder_of_folded(_unpack(x % ring, bits, n), modulus)
+        if value:
+            reduced[s] = value
+    c = {0: _element(reduced)} if reduced else {}
     return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
 
 

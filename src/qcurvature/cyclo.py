@@ -263,18 +263,22 @@ def q_factorial(k: int) -> QPoly:
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient, division-free.
 
-    Uses the Pascal-type recurrence C(n,k) = C(n-1,k-1) + q^k * C(n-1,k)
-    so no polynomial division is ever needed; agreement with the factorial
-    quotient is checked in the test suite by exact division.
-    Out-of-range k yields 0.
+    Builds Pascal rows with the recurrence C(m,j) = C(m-1,j-1) + q^j * C(m-1,j),
+    keeping only the current row and only the columns up to min(k, n-k)
+    (the coefficient is symmetric in k and n-k), so no polynomial division
+    and no recursion is needed.  Agreement with the factorial quotient is
+    checked in the test suite by exact division.  Out-of-range k yields 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return q_binomial(n - 1, k - 1) + QPoly.monomial(k) * q_binomial(n - 1, k)
+    k = min(k, n - k)
+    row = [ONE] + [ZERO] * k  # row[j] = C(m, j), starting at m = 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + row[j].shift(j)
+    return row[k]
 
 
 def divisors(n: int) -> list[int]:
@@ -325,18 +329,34 @@ def reduce(p: QPoly, m: CycloModulus) -> QPoly:
     """Unique remainder of p modulo the cyclotomic modulus.
 
     p is first folded modulo q^n - 1, an O(deg p) rotation that is exact
-    because Phi_n divides q^n - 1; one long division by Phi_n then finishes
-    a remainder of degree < n.  The modulus is monic, so the result keeps
-    integer coefficients and has degree < deg(phi).
+    because Phi_n divides q^n - 1; :func:`remainder_of_folded` then
+    finishes the division by Phi_n.
     """
     c, n = p.coeffs, m.n
-    if len(c) > n:
-        folded = [sum(c[i::n]) for i in range(n)]
-        while folded and folded[-1] == 0:
-            folded.pop()
-        p = QPoly._trusted(tuple(folded))
-    _, rem = divmod(p, m.phi)
-    return rem
+    folded = [sum(c[i::n]) for i in range(n)] if len(c) > n else list(c)
+    return remainder_of_folded(folded, m)
+
+
+def remainder_of_folded(values: list[int], m: CycloModulus) -> QPoly:
+    """Remainder modulo Phi_n of ``sum(values[i] * q**i)``, for at most n values.
+
+    A remainder-only long division: Phi_n is monic, so each step subtracts
+    the top value times phi's lower terms and no quotient is built.  The
+    result keeps integer coefficients and has degree < deg(phi).  ``values``
+    is overwritten.
+    """
+    d = m.phi.degree
+    low = [(j, c) for j, c in enumerate(m.phi.coeffs[:d]) if c]
+    for top in range(len(values) - 1, d - 1, -1):
+        head = values[top]
+        if head:
+            base = top - d
+            for j, c in low:
+                values[base + j] -= head * c
+    del values[d:]
+    while values and not values[-1]:
+        values.pop()
+    return QPoly._trusted(tuple(values))
 
 
 def coeffs_list(p: QPoly) -> list[int]:

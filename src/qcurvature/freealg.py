@@ -435,7 +435,9 @@ def maurer_cartan_element(n: int) -> ElementPoly:
 
     Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n).  Its
     reduction at an n-th root of unity is the full obstruction to the
-    deformed differential having vanishing n-th power.
+    deformed differential having vanishing n-th power.  The curvature
+    routes use the closed product formula for M(n) instead; this recursion
+    is the definition that formula is checked against.
 
     >>> print(maurer_cartan_element(2))
     d(a) + a^2

@@ -13,6 +13,7 @@ from qcurvature.curvature import (
     path_expansion,
     root_of_unity_expansion,
 )
+from qcurvature.cyclo import q_number
 from qcurvature.paths import WeightRule
 
 
@@ -210,6 +211,18 @@ class TestArgumentErrors:
 
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2
+
+
+class TestLargeBinomial:
+    def test_binom_past_the_recursion_limit(self, capsys):
+        # [n choose 2]_q = [n]_q [n-1]_q / [2]_q, the factorial quotient with
+        # the common factor [n-2]_q! cancelled
+        code, out, _ = invoke(capsys, "binom", "--n", "1500", "--k", "2", "--mode", "generic", "--format", "json")
+        assert code == 0
+        expected = (q_number(1500) * q_number(1499)).exact_div(q_number(2))
+        assert json.loads(out)["value"] == list(expected.coeffs)
+        # the default root mode: every middle binomial vanishes at the root
+        assert invoke(capsys, "binom", "--n", "1500", "--k", "2")[:2] == (0, "0\n")
 
 
 class TestInternalErrors:

@@ -1,6 +1,7 @@
 """Tests for the curvature expansions and the cross-validation suite."""
 
 import copy
+from math import comb, factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from qcurvature.curvature import (
     infinitesimal_from_operator,
     path_expansion,
     path_root_expansion,
+    power_formula_coefficients,
     reduce_then_truncate,
     resolve_default_rule,
     root_of_unity_expansion,
@@ -121,7 +123,7 @@ class TestProductionRoutes:
     def test_generic_matches_path_model(self, n):
         assert generic_expansion(n) == path_expansion(n)
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(2, 12))
     def test_root_matches_path_model(self, n):
         assert root_of_unity_expansion(n) == path_root_expansion(n)
 
@@ -131,6 +133,63 @@ class TestProductionRoutes:
         assert generic_expansion(4, LITERAL).c != generic_expansion(4, PREFIX).c
         assert root_of_unity_expansion(4, LITERAL) == path_root_expansion(4, LITERAL)
         assert root_of_unity_expansion(4, LITERAL).c != root_of_unity_expansion(4, PREFIX).c
+
+
+def closed_form(word):
+    """The product formula for the coefficient of ``word`` in M(n), over QPoly."""
+    value, left = ONE, 0
+    for entry in word:
+        value = value * q_binomial(left + entry, entry)
+        left += entry + 1
+    return value
+
+
+def compositions(n):
+    """Every word of degree n: a tuple s with sum(s_i + 1) == n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n):
+        for rest in compositions(n - 1 - first):
+            yield (first,) + rest
+
+
+class TestClosedForm:
+    """M(n) from its product formula, Kronecker-packed, against the recursion and QPoly."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_leading_power_formula_coefficient_is_the_recursion(self, n):
+        assert power_formula_coefficients(n)[0] == maurer_cartan_element(n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_packed_root_route_equals_unpacked_product(self, n):
+        # n = 2..14 covers primes (deg Phi_n = n - 1) and composites alike
+        modulus = CycloModulus.of(n)
+        expected = {}
+        for word in compositions(n):
+            value = modulus.reduce(closed_form(word))
+            if value:
+                expected[word] = value
+        root = root_of_unity_expansion(n, PREFIX).coefficient(0)
+        assert {mono.comp.entries: c for mono, c in root.items()} == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_packed_generic_route_equals_unpacked_product(self, n):
+        c = power_formula_coefficients(n)
+        for k in range(1, n + 1):
+            binomial = q_binomial(n, k)
+            expected = {word: binomial * closed_form(word) for word in compositions(k)}
+            assert {mono.comp.entries: v for mono, v in c[n - k].items()} == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_values_at_one_respect_the_packing_bound(self, n):
+        # packing relies on [n choose k]_q * M(k)[s] at q = 1 being at most
+        # C(n, k) * (k-1)!, which leaves a spare bit below 2^bits
+        c = power_formula_coefficients(n)
+        for k in range(1, n + 1):
+            bound = comb(n, k) * factorial(k - 1)
+            assert bound < 2 ** (curvature._packing_bits(n, k) - 1)
+            assert max(value.evaluate(1) for _, value in c[n - k].items()) <= bound
 
 
 class TestBinomialExpansion:
@@ -241,6 +300,27 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             CurvatureExpansion.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # a word of degree 1 where n - k = 3 is required
+            {"n": 3, "mode": "generic", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [0], "coeff": [1]}]}]},
+            # the all-stay word carries d^n, not d^(n-1)
+            {"n": 3, "mode": "generic", "rule": "prefix", "c": [{"k": 2, "terms": [{"s": [], "coeff": [1]}]}]},
+            # k beyond n
+            {"n": 2, "mode": "generic", "rule": "prefix", "c": [{"k": 3, "terms": []}]},
+            {"n": 2, "mode": "generic", "rule": "prefix", "c": [{"k": -1, "terms": []}]},
+            # d^n does not survive at a root of unity
+            {"n": 2, "mode": "root", "rule": "prefix", "c": [{"k": 2, "terms": [{"s": [], "coeff": [1]}]}]},
+            # root mode needs n >= 2, generic mode n >= 1
+            {"n": 1, "mode": "root", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [0], "coeff": [1]}]}]},
+            {"n": 0, "mode": "generic", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [], "coeff": [1]}]}]},
+        ],
+    )
+    def test_rejects_wrong_degree_or_power(self, data):
+        with pytest.raises(ValueError):
+            CurvatureExpansion.from_json_dict(data)
+
 
 class TestArbitrationAndVerify:
     def test_default_rule_is_prefix(self):
@@ -278,8 +358,24 @@ class TestArbitrationAndVerify:
         failing = [c for c in report.checks if c.status == "fail"]
         assert any(c.check == "oracle-equivalence" and c.rule == "literal" for c in failing)
 
-    def test_wrong_maurer_cartan_element_fails_verify(self, monkeypatch):
-        # the production routes read M(n) from here; the path model does not
+    def test_wrong_closed_form_fails_verify(self, monkeypatch):
+        # both production routes read M(n) from the closed form; the path
+        # model, the recursion and the operator oracle do not
+        real = curvature._closed_form_packed
+
+        def wrong(n, bits, start=1):
+            # add 1 to the packed coefficient of the word a^n
+            return [(s, x + (s == (0,) * n)) for s, x in real(n, bits, start)]
+
+        monkeypatch.setattr(curvature, "_closed_form_packed", wrong)
+        report = verify_suite(6)
+        assert not report.passed
+        failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
+        assert failing == {"reduction-commutes", "binomial-formula"}
+
+    def test_wrong_recursion_fails_verify(self, monkeypatch):
+        # maurer-cartan compares the recursion with the path model; no
+        # production route reads the recursion
         def wrong(n):
             return maurer_cartan_element(n) + ElementPoly.from_word(*([0] * n))
 
@@ -287,7 +383,7 @@ class TestArbitrationAndVerify:
         report = verify_suite(6)
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
-        assert {"maurer-cartan", "reduction-commutes", "binomial-formula"} <= failing
+        assert failing == {"maurer-cartan"}
 
     def test_wrong_root_route_fails_verify(self, monkeypatch):
         real = curvature.root_of_unity_expansion

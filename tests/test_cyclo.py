@@ -18,6 +18,7 @@ from qcurvature.cyclo import (
     q_factorial,
     q_number,
     reduce,
+    remainder_of_folded,
 )
 
 qpolys = st.lists(st.integers(-9, 9), max_size=8).map(tuple).map(QPoly)
@@ -220,6 +221,14 @@ class TestReduce:
     def test_fold_then_divide_equals_plain_division(self, p, n):
         m = CycloModulus.of(n)
         assert reduce(p, m) == divmod(p, m.phi)[1]
+
+    @given(st.data(), st.integers(2, 39))
+    def test_remainder_of_folded_equals_plain_division(self, data, n):
+        # up to n values, trailing zeros allowed: what a fold mod q^n - 1 leaves
+        values = data.draw(st.lists(st.integers(-99, 99), max_size=n))
+        m = CycloModulus.of(n)
+        expected = divmod(QPoly(tuple(values)), m.phi)[1]
+        assert remainder_of_folded(list(values), m) == expected
 
     @given(qpolys, st.integers(2, 12))
     def test_reduce_is_idempotent(self, p, n):
