@@ -104,11 +104,15 @@ class CurvatureExpansion:
                 raise ValueError(f"n={n} is too small for {mode} mode")
             # generic mode has powers d^0..d^n; at a root d^n is gone
             top = n if mode == GENERIC else n - 1
+            # duplicates and zero coefficients would be merged or dropped,
+            # so the payload would not round-trip: reject them
             c: dict[int, ElementPoly] = {}
             for entry in data["c"]:
                 k = _json_int(entry["k"])
                 if not 0 <= k <= top:
                     raise ValueError(f"power k={k} out of range 0..{top} for {mode} n={n}")
+                if k in c:
+                    raise ValueError(f"power k={k} appears twice")
                 terms = {}
                 for item in entry["terms"]:
                     mono = Monomial(Comp(_json_list(item["s"])))
@@ -117,7 +121,12 @@ class CurvatureExpansion:
                             f"word {list(mono.comp.entries)} at k={k} has degree "
                             f"{mono.degree()}, expected n - k = {n - k}"
                         )
-                    terms[(mono, 0)] = poly_from_coeffs(_json_list(item["coeff"]))
+                    if (mono, 0) in terms:
+                        raise ValueError(f"word {list(mono.comp.entries)} appears twice at k={k}")
+                    coeff = poly_from_coeffs(_json_list(item["coeff"]))
+                    if coeff.is_zero():
+                        raise ValueError(f"word {list(mono.comp.entries)} at k={k} has coefficient 0")
+                    terms[(mono, 0)] = coeff
                 c[k] = ElementPoly(OperatorPoly(terms))
             return cls(n=n, mode=mode, rule=WeightRule(data["rule"]), c=c)
         except (KeyError, TypeError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from operator import add
 from typing import Iterable
 
@@ -251,12 +252,22 @@ def q_number(k: int) -> QPoly:
 
 @cache
 def q_factorial(k: int) -> QPoly:
-    """Product of the q-integers 1..k; the empty product 1 for k = 0."""
+    """Product of the q-integers 1..k; the empty product 1 for k = 0.
+
+    One running product p, multiplied by [m]_q = (1 - q^m) / (1 - q) for
+    m = 2..k as a windowed prefix sum: coefficient i of p * [m]_q is the sum
+    of p's coefficients i - m + 1 .. i.  No recursion and no general product.
+
+    >>> print(q_factorial(3))
+    1 + 2*q + 2*q^2 + q^3
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return ONE
-    return q_factorial(k - 1) * q_number(k)
+    coeffs = [1]
+    for m in range(2, k + 1):
+        sums = list(accumulate(coeffs + [0] * (m - 1)))
+        coeffs = sums[:m] + [high - low for high, low in zip(sums[m:], sums)]
+    return QPoly._trusted(tuple(coeffs))
 
 
 @cache

@@ -7,15 +7,24 @@ single rewrite
     d * e_j  ->  e_{j+1} + q^(j+1) * e_j * d.
 
 Normal ordering moves every d to the right of every e_j.  Expanding powers
-of d + e_0 in this algebra is the brute-force oracle against which the
-weighted-path model is validated.
+of d + e_0 in this algebra (:func:`deformed_power`) and running the
+recursion M(n+1) = dM(n) + a*M(n) (:func:`maurer_cartan_element`) are the
+oracles against which the weighted-path model and the closed product formula
+are validated.  Both run iteratively on a flat dict of Kronecker-packed
+coefficients, one int per coefficient with a 64-bit multiple of lane per
+power of q; the lane bound, (n+1)! after n steps, follows from the rewrite
+rule alone.  They share no packing code with the production route.  The
+general :class:`OperatorPoly` product is kept for arbitrary operators.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
+from math import factorial
 from typing import Iterable
 
 from .cyclo import ONE, ZERO, CycloModulus, QPoly
@@ -238,32 +247,31 @@ def _term_text(term: Term) -> str:
 
 
 @cache
-def _word_rewrite(comp: Comp) -> tuple[tuple[Monomial, int, int], ...]:
-    """Normal form of d times the word with exponent vector ``comp``.
+def _word_rewrite(entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Normal form of d times the word with exponent vector ``entries``.
 
     Returned as ``(word, dpow, e)`` triples, each standing for
-    ``q^e * word * d^dpow``: the rewrite only ever multiplies by a power of
-    q and never merges two terms, so every coefficient is one monomial.
-    Recursive application of the single rewrite rule; the closed prefix-sum
-    formula is *not* used here, so this stays an independent route.
+    ``q^e * word * d^dpow`` with ``word`` an entries tuple: the rewrite only
+    ever multiplies by a power of q and never merges two terms, so every
+    coefficient is one monomial.  Recursive application of the single
+    rewrite rule; the closed prefix-sum formula is *not* used here, so this
+    stays an independent route.
     """
-    if not comp.entries:
-        return ((UNIT, 1, 0),)
-    head, rest = comp.entries[0], comp.entries[1:]
-    bumped = (Monomial(Comp._trusted((head + 1,) + rest)), 0, 0)
+    if not entries:
+        return (((), 1, 0),)
+    head, rest = entries[0], entries[1:]
     passed = tuple(
-        (Monomial(Comp._trusted((head,) + mono.comp.entries)), dpow, e + head + 1)
-        for mono, dpow, e in _word_rewrite(Comp._trusted(rest))
+        ((head,) + word, dpow, e + head + 1) for word, dpow, e in _word_rewrite(rest)
     )
-    return (bumped,) + passed
+    return (((head + 1,) + rest, 0, 0),) + passed
 
 
 def _d_times(op: OperatorPoly) -> OperatorPoly:
     """Left multiplication by the single generator d."""
     acc: dict[tuple[Monomial, int], QPoly] = {}
     for (mono, dpow), coeff in op._terms.items():
-        for mono2, extra, e in _word_rewrite(mono.comp):
-            key = (mono2, dpow + extra)
+        for word, extra, e in _word_rewrite(mono.comp.entries):
+            key = (Monomial(Comp._trusted(word)), dpow + extra)
             acc[key] = acc.get(key, ZERO) + coeff.shift(e)
     return OperatorPoly(acc)
 
@@ -306,11 +314,6 @@ class ElementPoly:
     @classmethod
     def from_word(cls, *entries: int) -> ElementPoly:
         return cls(OperatorPoly({(Monomial.from_entries(*entries), 0): ONE}))
-
-    @classmethod
-    def a(cls) -> ElementPoly:
-        """The deforming element itself, the word with single entry 0."""
-        return cls.from_word(0)
 
     def items(self) -> list[tuple[Monomial, QPoly]]:
         return [(t.mono, t.coeff) for t in self._op.terms()]
@@ -397,23 +400,6 @@ def multiply_by_a(p: ElementPoly) -> ElementPoly:
 
 
 @cache
-def deformed_power(n: int) -> OperatorPoly:
-    """Normal form of (d + e_0)^n over generic q.
-
-    The pure d^n term is kept: nothing is truncated at this level.
-
-    >>> print(deformed_power(2))
-    d^2 + (1+q)*a*d + d(a) + a^2
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = OperatorPoly.d() + OperatorPoly.e(0)
-    if n == 1:
-        return base
-    return deformed_power(n - 1) * base
-
-
-@cache
 def deformed_power_first_order(n: int) -> OperatorPoly:
     """Coefficient of t in (d + t*e_0)^n with t squaring to zero.
 
@@ -429,22 +415,116 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
     return part1
 
 
+# ---------------------------------------------------------------------------
+# packed oracles
+# ---------------------------------------------------------------------------
+#
+# deformed_power and maurer_cartan_element run their recursions on a flat
+# dict keyed by entries tuples.  A coefficient sum_e c_e q^e is packed as the
+# int sum_e c_e 2^(lane*e) (Kronecker substitution), so a shift by q^e is
+# x << (lane*e) and a sum of coefficients is one int addition.  Packing is
+# exact while every coefficient stays below 2^lane.
+#
+# The bound comes from the rewrite rule, not from any closed form.  A step
+# only ever adds q^e times an existing coefficient, so every coefficient is
+# nonnegative and at most its value at q = 1.  At q = 1 one step sends a
+# term whose word has length m to at most m + 2 terms: (d + e_0) * w gives
+# the prepended word and the m + 1 triples of d past w, and dM + a*M gives
+# m raised words and the prepended one.  After step n every word has length
+# at most n, and step 1 has mass at most 2, so the total mass of step n is at
+# most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane and every
+# partial sum.  The lane is rounded up to whole 64-bit words so that
+# unpacking is one conversion to native words (one word holds n <= 19).
+
+
+def _lane_bits(n: int) -> int:
+    """Bits per power of q that hold every coefficient of step n: (n + 1)!."""
+    return -(-factorial(n + 1).bit_length() // 64) * 64
+
+
+def _unpack_lanes(x: int, lane: int) -> QPoly:
+    """The polynomial packed in ``x >= 0`` at ``lane`` bits per power of q.
+
+    ``lane`` is a multiple of 64: ``x`` is read as native 64-bit words in one
+    pass, and a lane of w words combines w adjacent ones.
+
+    >>> _unpack_lanes(3 + (5 << 128), 64)
+    QPoly('3 + 5*q^2')
+    """
+    width = lane // 64
+    size = -(-x.bit_length() // lane) * lane // 8
+    words = memoryview(x.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+    if sys.byteorder == "big":
+        words.reverse()
+    lanes = words[::width]
+    for j in range(1, width):
+        lanes = [low | high << (64 * j) for low, high in zip(lanes, words[j::width])]
+    return QPoly._trusted(tuple(lanes))
+
+
+def _unpacked(terms: dict[tuple[tuple[int, ...], int], int], lane: int) -> OperatorPoly:
+    """The operator of packed terms keyed by (entries, dpow)."""
+    return OperatorPoly(
+        {
+            (Monomial(Comp._trusted(word)), dpow): _unpack_lanes(x, lane)
+            for (word, dpow), x in terms.items()
+        }
+    )
+
+
+@cache
+def deformed_power(n: int) -> OperatorPoly:
+    """Normal form of (d + e_0)^n over generic q.
+
+    Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients: e_0
+    prepends an entry and d is passed through each word by
+    :func:`_word_rewrite`.  The pure d^n term is kept: nothing is truncated
+    at this level.
+
+    >>> print(deformed_power(2))
+    d^2 + (1+q)*a*d + d(a) + a^2
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    lane = _lane_bits(n)
+    power = {((), 1): 1, ((0,), 0): 1}
+    for _ in range(n - 1):
+        following: defaultdict[tuple[tuple[int, ...], int], int] = defaultdict(int)
+        for (word, dpow), x in power.items():
+            following[(0,) + word, dpow] += x
+            for moved, extra, e in _word_rewrite(word):
+                following[moved, dpow + extra] += x << (lane * e)
+        power = following
+    return _unpacked(power, lane)
+
+
 @cache
 def maurer_cartan_element(n: int) -> ElementPoly:
     """The element obtained by applying the deformed differential n-1 times to a.
 
-    Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n).  Its
-    reduction at an n-th root of unity is the full obstruction to the
-    deformed differential having vanishing n-th power.  The curvature
-    routes use the closed product formula for M(n) instead; this recursion
-    is the definition that formula is checked against.
+    Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n), run on
+    packed coefficients: dM raises each entry in turn, weighted by q to the
+    degree left of it (as :func:`q_derivative`), and a*M prepends an entry
+    (as :func:`multiply_by_a`).  Its reduction at an n-th root of unity is
+    the full obstruction to the deformed differential having vanishing n-th
+    power.  The curvature routes use the closed product formula for M(n)
+    instead; this recursion is the definition that formula is checked
+    against.
 
     >>> print(maurer_cartan_element(2))
     d(a) + a^2
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return ElementPoly.a()
-    previous = maurer_cartan_element(n - 1)
-    return q_derivative(previous) + multiply_by_a(previous)
+    lane = _lane_bits(n)
+    element = {(0,): 1}
+    for _ in range(n - 1):
+        following: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for word, x in element.items():
+            following[(0,) + word] += x
+            left_degree = 0
+            for i, entry in enumerate(word):
+                following[word[:i] + (entry + 1,) + word[i + 1 :]] += x << (lane * left_degree)
+                left_degree += entry + 1
+        element = following
+    return ElementPoly(_unpacked({(word, 0): x for word, x in element.items()}, lane))

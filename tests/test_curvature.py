@@ -321,6 +321,27 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             CurvatureExpansion.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # two k = 0 entries, the second holding a zero coefficient
+            [{"k": 0, "terms": [{"s": [1], "coeff": [1]}]},
+             {"k": 0, "terms": [{"s": [0, 0], "coeff": [0]}]}],
+            # two k = 0 entries, each valid on its own
+            [{"k": 0, "terms": [{"s": [1], "coeff": [1]}]},
+             {"k": 0, "terms": [{"s": [0, 0], "coeff": [1]}]}],
+            # the same word twice
+            [{"k": 0, "terms": [{"s": [1], "coeff": [1]}, {"s": [1], "coeff": [0, 1]}]}],
+            # zero coefficients, in every spelling
+            [{"k": 0, "terms": [{"s": [1], "coeff": []}]}],
+            [{"k": 0, "terms": [{"s": [1], "coeff": [0]}]}],
+            [{"k": 0, "terms": [{"s": [1], "coeff": [0, 0]}]}],
+        ],
+    )
+    def test_rejects_what_does_not_round_trip(self, c):
+        with pytest.raises(ValueError):
+            CurvatureExpansion.from_json_dict({"n": 2, "mode": "root", "rule": "prefix", "c": c})
+
 
 class TestArbitrationAndVerify:
     def test_default_rule_is_prefix(self):

@@ -1,6 +1,7 @@
 """Tests for exact q-polynomial arithmetic and cyclotomic reduction."""
 
-from math import gcd
+import sys
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +130,23 @@ class TestQNumbers:
         assert q_factorial(2) == QPoly((1, 1))
         # (1+q)(1+q+q^2), expanded by hand
         assert q_factorial(3) == QPoly((1, 2, 2, 1))
+
+    def test_q_factorial_equals_q_number_product(self):
+        product = ONE
+        for k in range(1, 31):
+            product = product * q_number(k)
+            assert q_factorial(k) == product, k
+
+    def test_q_factorial_past_the_recursion_limit(self):
+        q_factorial.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            value = q_factorial(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value.degree == 300 * 299 // 2
+        assert value.evaluate(1) == factorial(300)
 
     def test_q_binomial_examples(self):
         # recurrence value, cross-checked by exact division below

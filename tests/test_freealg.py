@@ -1,5 +1,7 @@
 """Tests for the free operator algebra and its normal ordering."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
     Monomial,
+    _lane_bits,
+    _unpack_lanes,
     OperatorPoly,
     deformed_power,
     deformed_power_first_order,
@@ -104,9 +108,37 @@ class TestDeformedPower:
         for term in deformed_power(n).terms():
             assert term.mono.degree() + term.dpow == n
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_general_product(self, n):
+        # the right side multiplies through the general OperatorPoly product
+        assert deformed_power(n) == (OperatorPoly.d() + OperatorPoly.e(0)) ** n
+
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             deformed_power(0)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mass_within_lane_bound(self, n):
+        # every coefficient is nonnegative, so its value at q = 1 bounds each lane
+        bound = factorial(n + 1)
+        assert bound < 1 << _lane_bits(n)
+        assert sum(term.coeff.evaluate(1) for term in deformed_power(n).terms()) <= bound
+        assert sum(coeff.evaluate(1) for _, coeff in maurer_cartan_element(n).items()) <= bound
+
+    def test_lane_width(self):
+        assert _lane_bits(19) == 64
+        assert _lane_bits(20) == 128
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([64, 128, 192]), st.data())
+    def test_unpack_lanes(self, lane, data):
+        # the leading lane is at least 2^(lane - 64), so it fills its top word
+        values = data.draw(st.lists(st.integers(0, 2**lane - 1), max_size=20))
+        values.append(data.draw(st.integers(2 ** (lane - 64), 2**lane - 1)))
+        packed = sum(v << (lane * e) for e, v in enumerate(values))
+        assert _unpack_lanes(packed, lane) == QPoly(tuple(values))
 
 
 class TestQDerivative:
@@ -149,7 +181,7 @@ class TestMaurerCartan:
         mc = maurer_cartan_element(n)
         assert mc.coefficient(Monomial(Comp((0,) * n))) == ONE
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_recursion_soundness(self, n):
         mc = maurer_cartan_element(n)
         assert maurer_cartan_element(n + 1) == q_derivative(mc) + multiply_by_a(mc)
