@@ -116,16 +116,17 @@ class CurvatureExpansion:
                 terms = {}
                 for item in entry["terms"]:
                     mono = Monomial(Comp(_json_list(item["s"])))
+                    word = list(mono.comp.entries)
                     if mono.degree() != n - k:
                         raise ValueError(
-                            f"word {list(mono.comp.entries)} at k={k} has degree "
+                            f"word {word} at k={k} has degree "
                             f"{mono.degree()}, expected n - k = {n - k}"
                         )
                     if (mono, 0) in terms:
-                        raise ValueError(f"word {list(mono.comp.entries)} appears twice at k={k}")
+                        raise ValueError(f"word {word} appears twice at k={k}")
                     coeff = poly_from_coeffs(_json_list(item["coeff"]))
                     if coeff.is_zero():
-                        raise ValueError(f"word {list(mono.comp.entries)} at k={k} has coefficient 0")
+                        raise ValueError(f"word {word} at k={k} has coefficient 0")
                     terms[(mono, 0)] = coeff
                 c[k] = ElementPoly(OperatorPoly(terms))
             return cls(n=n, mode=mode, rule=WeightRule(data["rule"]), c=c)
