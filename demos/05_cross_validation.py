@@ -5,7 +5,8 @@ The suite checks every pair of independent routes to the same object:
 path model vs. operator expansion (under both weight conventions, which
 arbitrates the convention), obstruction collapse at roots of unity, the
 q-binomial power formula, the infinitesimal coefficients, dynamic
-programming vs. enumeration, and the order of reduction and truncation.
+programming vs. enumeration, and the production root-of-unity expansion
+vs. the path model reduced at the root.
 It also reports, with exact polynomials on both sides, where the
 hand-worked four-step reference listing disagrees with the computation.
 """

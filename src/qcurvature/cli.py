@@ -79,8 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_inf)
     p_inf.set_defaults(handler=_run_infinitesimal)
 
+    # verify checks both modes and reports as text or JSON
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p_verify)
+    p_verify.add_argument("--n", type=_positive_int, required=True)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.add_argument(
+        "--rule", choices=("default", "literal", "prefix"), default="default"
+    )
     p_verify.set_defaults(handler=_run_verify)
 
     return parser

@@ -54,9 +54,9 @@ class CurvatureExpansion:
 
     In generic mode k runs 0..n and c_n is the scalar 1 (the all-stay
     path at the empty vertex).  In root-of-unity mode k runs 0..n-1, every
-    coefficient is reduced modulo the n-th cyclotomic polynomial, words
-    containing a derivative of order >= n are dropped, and vanished
-    coefficients are removed from the map.
+    coefficient is reduced modulo the n-th cyclotomic polynomial, and
+    vanished coefficients are removed from the map.  Every word of c_k has
+    degree n - k, so no word carries a derivative of order >= n.
     """
 
     n: int
@@ -122,13 +122,13 @@ class CurvatureExpansion:
                             f"word {word} at k={k} has degree "
                             f"{mono.degree()}, expected n - k = {n - k}"
                         )
-                    if (mono, 0) in terms:
+                    if mono in terms:
                         raise ValueError(f"word {word} appears twice at k={k}")
                     coeff = poly_from_coeffs(_json_list(item["coeff"]))
                     if coeff.is_zero():
                         raise ValueError(f"word {word} at k={k} has coefficient 0")
-                    terms[(mono, 0)] = coeff
-                c[k] = ElementPoly(OperatorPoly(terms))
+                    terms[mono] = coeff
+                c[k] = ElementPoly(terms)
             return cls(n=n, mode=mode, rule=WeightRule(data["rule"]), c=c)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curvature expansion: {exc}") from exc
@@ -161,19 +161,16 @@ def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion
         weight = path_sum_dp(s, n, rule)
         if weight.is_zero():
             continue
-        c.setdefault(k, {})[(Monomial(s), 0)] = weight
-    coefficients = {
-        k: ElementPoly(OperatorPoly(terms)) for k, terms in sorted(c.items())
-    }
+        c.setdefault(k, {})[Monomial(s)] = weight
+    coefficients = {k: ElementPoly(terms) for k, terms in sorted(c.items())}
     return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=coefficients)
 
 
 def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Expansion at a primitive n-th root of unity from the path model (an oracle).
 
-    Words containing a derivative of order >= n are dropped first, then
-    every coefficient of :func:`path_expansion` is reduced modulo the n-th
-    cyclotomic polynomial; coefficients that vanish are removed.
+    Every coefficient of :func:`path_expansion` below d^n is reduced modulo
+    the n-th cyclotomic polynomial; coefficients that vanish are removed.
     """
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
@@ -182,7 +179,7 @@ def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpa
     modulus = CycloModulus.of(n)
     c: dict[int, ElementPoly] = {}
     for k in range(n):
-        reduced = generic.coefficient(k).truncated(n).reduce_mod(modulus)
+        reduced = generic.coefficient(k).reduce_mod(modulus)
         if not reduced.is_zero():
             c[k] = reduced
     return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
@@ -270,9 +267,7 @@ def _closed_form_packed(n: int, bits: int, start: int = 1) -> list[tuple[tuple[i
 
 
 def _element(coefficients: dict[tuple[int, ...], QPoly]) -> ElementPoly:
-    return ElementPoly(
-        OperatorPoly({(Monomial(Comp._trusted(s)), 0): c for s, c in coefficients.items()})
-    )
+    return ElementPoly({Monomial(Comp._trusted(s)): c for s, c in coefficients.items()})
 
 
 def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
@@ -317,8 +312,7 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
 
     Under the oracle-arbitrated rule every middle Gaussian binomial of the
     power formula vanishes at the root, so only c[0] = M(n) reduced modulo
-    the n-th cyclotomic polynomial survives (dropped when zero).  Every word
-    of M(n) has degree n, so none carries a derivative of order >= n.  Each
+    the n-th cyclotomic polynomial survives (dropped when zero).  Each
     word's closed-form coefficient is folded modulo q^n - 1 while packed,
     then divided by Phi_n.  Any other rule goes through the path model,
     :func:`path_root_expansion`.
@@ -345,37 +339,17 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
 
 
-def reduce_then_truncate(expansion: CurvatureExpansion) -> CurvatureExpansion:
-    """Root-of-unity form computed in the opposite order (reduce, then drop).
-
-    Truncation is coefficient-blind so this must agree with
-    :func:`path_root_expansion`, and so with :func:`root_of_unity_expansion`;
-    the verify suite asserts the latter.
-    """
-    if expansion.mode != GENERIC:
-        raise ValueError("expected a generic-mode expansion")
-    modulus = CycloModulus.of(expansion.n)
-    c: dict[int, ElementPoly] = {}
-    for k in range(expansion.n):
-        swapped = expansion.coefficient(k).reduce_mod(modulus).truncated(expansion.n)
-        if not swapped.is_zero():
-            c[k] = swapped
-    return CurvatureExpansion(expansion.n, ROOT, expansion.rule, c)
-
-
 def binomial_expansion(n: int) -> OperatorPoly:
     """The n-th deformed power assembled from the q-binomial power formula.
 
     d^n plus, for k = 1..n-1, the Gaussian binomial (n choose k) times the
     (k-1)-fold deformed derivative of a times d^(n-k), plus the (n-1)-fold
-    deformed derivative of a.  Must agree with :func:`deformed_power`.
+    deformed derivative of a: the generic production route, as one
+    operator.  Must agree with :func:`deformed_power`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = OperatorPoly.zero()
-    for k, element in power_formula_coefficients(n).items():
-        total = total + element.times_d_power(k)
-    return total
+    return generic_expansion(n).as_operator()
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +673,7 @@ def _check_maurer_cartan(n: int, rule: WeightRule) -> CheckResult:
             mono, value = coeff.items()[0]
             bad = {"n": n, "k": k, "s": list(mono.comp.entries), "value": coeffs_list(value)}
             return CheckResult("maurer-cartan", n, "fail", rule.value, bad)
-    expected = maurer_cartan_element(n).truncated(n).reduce_mod(modulus)
+    expected = maurer_cartan_element(n).reduce_mod(modulus)
     if expansion.coefficient(0) != expected:
         diff = _first_operator_difference(
             n, expansion.coefficient(0).to_operator(), expected.to_operator()
@@ -756,10 +730,9 @@ def _check_dp_enum(n: int) -> CheckResult:
 
 
 def _check_reduction_commutes(n: int, rule: WeightRule) -> CheckResult:
-    """The production root expansion against the path model reduced in the other order."""
+    """The production root expansion against the path model reduced at the root."""
     direct = root_of_unity_expansion(n, rule)
-    swapped = reduce_then_truncate(path_expansion(n, rule))
-    status = "pass" if direct == swapped else "fail"
+    status = "pass" if direct == path_root_expansion(n, rule) else "fail"
     return CheckResult("reduction-commutes", n, status, rule.value)
 
 

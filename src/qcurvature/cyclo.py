@@ -47,10 +47,6 @@ class QPoly:
         return p
 
     @classmethod
-    def from_int(cls, n: int) -> QPoly:
-        return cls((n,))
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> QPoly:
         """The polynomial ``coefficient * q**exponent``."""
         if exponent < 0:

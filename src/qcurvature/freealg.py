@@ -160,18 +160,6 @@ class OperatorPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def filtered(self, keep) -> OperatorPoly:
-        """Sub-sum of the terms for which keep(mono, dpow) holds."""
-        return OperatorPoly(
-            {key: c for key, c in self._terms.items() if keep(key[0], key[1])}
-        )
-
-    def dpow_zero_part(self) -> ElementPoly:
-        return ElementPoly(self.filtered(lambda mono, dpow: dpow == 0))
-
-    def max_dpow(self) -> int:
-        return max((dpow for (_, dpow) in self._terms), default=0)
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
@@ -298,75 +286,75 @@ def normal_order(word: Iterable[Generator]) -> OperatorPoly:
 
 
 class ElementPoly:
-    """A formal element of the module: an operator sum with no d factors."""
+    """A formal element of the module: a finite sum of coefficient * word.
 
-    __slots__ = ("_op",)
+    Holds a map from word to coefficient with zero coefficients dropped.
+    There is no power of d in the key, so an element cannot carry d.
+    Instances are immutable by convention, as :class:`OperatorPoly`.
+    """
 
-    def __init__(self, op: OperatorPoly):
-        if any(dpow != 0 for (_, dpow) in op._terms):
-            raise ValueError("element polynomials cannot carry d factors")
-        self._op = op
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict[Monomial, QPoly] | None = None):
+        self._terms = {
+            mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero()
+        }
 
     @classmethod
     def zero(cls) -> ElementPoly:
-        return cls(OperatorPoly.zero())
+        return cls()
 
     @classmethod
     def from_word(cls, *entries: int) -> ElementPoly:
-        return cls(OperatorPoly({(Monomial.from_entries(*entries), 0): ONE}))
+        return cls({Monomial.from_entries(*entries): ONE})
 
     def items(self) -> list[tuple[Monomial, QPoly]]:
-        return [(t.mono, t.coeff) for t in self._op.terms()]
+        """Summands in canonical word order."""
+        return sorted(self._terms.items(), key=lambda item: item[0].comp.sort_key())
 
     def coefficient(self, mono: Monomial) -> QPoly:
-        return self._op.coefficient(mono, 0)
+        return self._terms.get(mono, ZERO)
 
     def is_zero(self) -> bool:
-        return self._op.is_zero()
+        return not self._terms
 
     def __add__(self, other: ElementPoly) -> ElementPoly:
-        return ElementPoly(self._op + other._op)
+        acc = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            acc[mono] = acc.get(mono, ZERO) + coeff
+        return ElementPoly(acc)
 
     def __sub__(self, other: ElementPoly) -> ElementPoly:
-        return ElementPoly(self._op - other._op)
+        return self + other.scaled(-1)
 
     def scaled(self, factor: QPoly | int) -> ElementPoly:
-        return ElementPoly(self._op.scaled(factor))
+        if isinstance(factor, int):
+            factor = QPoly((factor,))
+        return ElementPoly({mono: c * factor for mono, c in self._terms.items()})
 
     def times_d_power(self, dpow: int) -> OperatorPoly:
         """The operator (this element) * d^dpow; already normally ordered."""
         if dpow < 0:
             raise ValueError("dpow must be nonnegative")
-        return OperatorPoly(
-            {(mono, dpow): coeff for (mono, _), coeff in self._op._terms.items()}
-        )
+        return OperatorPoly({(mono, dpow): coeff for mono, coeff in self._terms.items()})
 
     def to_operator(self) -> OperatorPoly:
         return self.times_d_power(0)
 
     def reduce_mod(self, modulus: CycloModulus) -> ElementPoly:
-        reduced = {
-            key: modulus.reduce(coeff) for key, coeff in self._op._terms.items()
-        }
-        return ElementPoly(OperatorPoly(reduced))
-
-    def truncated(self, max_order: int) -> ElementPoly:
-        """Drop every word containing a derivative of order >= max_order."""
-        return ElementPoly(
-            self._op.filtered(
-                lambda mono, _dpow: all(j < max_order for j in mono.comp.entries)
-            )
-        )
+        return ElementPoly({mono: modulus.reduce(c) for mono, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementPoly):
             return NotImplemented
-        return self._op == other._op
+        return self._terms == other._terms
 
     __hash__ = None
 
     def __str__(self) -> str:
-        return str(self._op)
+        if not self._terms:
+            return "0"
+        return " + ".join(_term_text(Term(coeff, mono, 0)) for mono, coeff in self.items())
 
     def __repr__(self) -> str:
         return f"ElementPoly('{self}')"
@@ -378,25 +366,22 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
     Each word picks up one term per factor: the factor's order is raised
     and the term is weighted by q to the degree of everything to its left.
     """
-    acc: dict[tuple[Monomial, int], QPoly] = {}
-    for (mono, _), coeff in p._op._terms.items():
+    acc: dict[Monomial, QPoly] = {}
+    for mono, coeff in p._terms.items():
         entries = mono.comp.entries
         left_degree = 0
         for i, entry in enumerate(entries):
-            raised = Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :])
-            key = (Monomial(raised), 0)
-            acc[key] = acc.get(key, ZERO) + coeff.shift(left_degree)
+            raised = Monomial(Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :]))
+            acc[raised] = acc.get(raised, ZERO) + coeff.shift(left_degree)
             left_degree += entry + 1
-    return ElementPoly(OperatorPoly(acc))
+    return ElementPoly(acc)
 
 
 def multiply_by_a(p: ElementPoly) -> ElementPoly:
     """Left multiplication by the deforming element: prepend a to each word."""
-    acc = {
-        (Monomial(mono.comp.prepended()), 0): coeff
-        for (mono, _), coeff in p._op._terms.items()
-    }
-    return ElementPoly(OperatorPoly(acc))
+    return ElementPoly(
+        {Monomial(mono.comp.prepended()): coeff for mono, coeff in p._terms.items()}
+    )
 
 
 @cache
@@ -462,24 +447,15 @@ def _unpack_lanes(x: int, lane: int) -> QPoly:
     return QPoly._trusted(tuple(lanes))
 
 
-def _unpacked(terms: dict[tuple[tuple[int, ...], int], int], lane: int) -> OperatorPoly:
-    """The operator of packed terms keyed by (entries, dpow)."""
-    return OperatorPoly(
-        {
-            (Monomial(Comp._trusted(word)), dpow): _unpack_lanes(x, lane)
-            for (word, dpow), x in terms.items()
-        }
-    )
-
-
 @cache
 def deformed_power(n: int) -> OperatorPoly:
     """Normal form of (d + e_0)^n over generic q.
 
     Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients: e_0
     prepends an entry and d is passed through each word by
-    :func:`_word_rewrite`.  The pure d^n term is kept: nothing is truncated
-    at this level.
+    :func:`_word_rewrite`, whose memo is cleared once the loop ends: it
+    holds every suffix of every word, 2^n entries, and nothing reads them
+    after the call.  The pure d^n term is kept.
 
     >>> print(deformed_power(2))
     d^2 + (1+q)*a*d + d(a) + a^2
@@ -495,7 +471,13 @@ def deformed_power(n: int) -> OperatorPoly:
             for moved, extra, e in _word_rewrite(word):
                 following[moved, dpow + extra] += x << (lane * e)
         power = following
-    return _unpacked(power, lane)
+    _word_rewrite.cache_clear()
+    return OperatorPoly(
+        {
+            (Monomial(Comp._trusted(word)), dpow): _unpack_lanes(x, lane)
+            for (word, dpow), x in power.items()
+        }
+    )
 
 
 @cache
@@ -527,4 +509,6 @@ def maurer_cartan_element(n: int) -> ElementPoly:
                 following[word[:i] + (entry + 1,) + word[i + 1 :]] += x << (lane * left_degree)
                 left_degree += entry + 1
         element = following
-    return ElementPoly(_unpacked({(word, 0): x for word, x in element.items()}, lane))
+    return ElementPoly(
+        {Monomial(Comp._trusted(word)): _unpack_lanes(x, lane) for word, x in element.items()}
+    )

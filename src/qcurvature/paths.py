@@ -203,33 +203,25 @@ def path_sum_enum(s: Comp, n: int, rule: WeightRule) -> QPoly:
     return total
 
 
-def _forward_tables(n: int, rule: WeightRule, prune: bool) -> list[dict[Comp, QPoly]]:
-    bound_check = (lambda c: c.total() + len(c) <= n) if prune else (lambda c: True)
-    steps: list[dict[Comp, QPoly]] = [{EMPTY: ONE}]
-    for _ in range(n):
-        nxt: dict[Comp, QPoly] = {}
-        for vertex, value in steps[-1].items():
-            for edge in successors(vertex, rule):
-                if not bound_check(edge.target):
-                    continue
-                acc = nxt.get(edge.target, ZERO) + value * edge.weight
-                nxt[edge.target] = acc
-        steps.append(nxt)
-    return steps
-
-
 @cache
 def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]:
     """Per-step accumulated weights of the forward dynamic program.
 
     Entry t maps each vertex to the total weight of length-t paths from the
-    empty vertex.  Vertices are restricted to entry sum + length <= n,
-    which is sound because no edge decreases that quantity (tested against
-    the unrestricted program).
+    empty vertex.  Every edge raises entry sum + length by at most one, so
+    every vertex of entry t has entry sum + length <= t <= n, and no bound
+    on the vertices is needed.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return tuple(MappingProxyType(step) for step in _forward_tables(n, rule, True))
+    steps: list[dict[Comp, QPoly]] = [{EMPTY: ONE}]
+    for _ in range(n):
+        nxt: dict[Comp, QPoly] = {}
+        for vertex, value in steps[-1].items():
+            for edge in successors(vertex, rule):
+                nxt[edge.target] = nxt.get(edge.target, ZERO) + value * edge.weight
+        steps.append(nxt)
+    return tuple(MappingProxyType(step) for step in steps)
 
 
 def path_sum_dp(s: Comp, n: int, rule: WeightRule) -> QPoly:

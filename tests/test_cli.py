@@ -212,6 +212,16 @@ class TestArgumentErrors:
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2
 
+    def test_verify_rejects_mode(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--n", "3", "--mode", "root")
+        assert (code, out) == (2, "")
+        assert "usage:" in err
+
+    def test_verify_rejects_latex(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--n", "3", "--format", "latex")
+        assert (code, out) == (2, "")
+        assert "usage:" in err
+
 
 class TestLargeBinomial:
     def test_binom_past_the_recursion_limit(self, capsys):

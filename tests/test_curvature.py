@@ -18,7 +18,6 @@ from qcurvature.curvature import (
     path_expansion,
     path_root_expansion,
     power_formula_coefficients,
-    reduce_then_truncate,
     resolve_default_rule,
     root_of_unity_expansion,
     verify_suite,
@@ -38,11 +37,12 @@ LITERAL = WeightRule.LITERAL
 
 
 def element(*terms):
+    """Shorthand: terms are (entries, coeff-as-QPoly-or-int)."""
     return ElementPoly(
-        OperatorPoly.from_terms(
-            (Monomial(Comp(entries)), 0, coeff if isinstance(coeff, QPoly) else QPoly((coeff,)))
+        {
+            Monomial(Comp(entries)): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
             for entries, coeff in terms
-        )
+        }
     )
 
 
@@ -96,20 +96,15 @@ class TestRootOfUnityExpansion:
     def test_n4_matches_reduced_element(self):
         e = root_of_unity_expansion(4, PREFIX)
         assert all(e.coefficient(k).is_zero() for k in (1, 2, 3))
-        expected = maurer_cartan_element(4).truncated(4).reduce_mod(CycloModulus.of(4))
+        expected = maurer_cartan_element(4).reduce_mod(CycloModulus.of(4))
         assert e.coefficient(0) == expected
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_obstruction_concentrates_in_degree_zero(self, n):
         e = root_of_unity_expansion(n, PREFIX)
         assert all(e.coefficient(k).is_zero() for k in range(1, n))
-        expected = maurer_cartan_element(n).truncated(n).reduce_mod(CycloModulus.of(n))
+        expected = maurer_cartan_element(n).reduce_mod(CycloModulus.of(n))
         assert e.coefficient(0) == expected
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_reduction_and_truncation_commute(self, n):
-        generic = path_expansion(n, PREFIX)
-        assert reduce_then_truncate(generic) == root_of_unity_expansion(n, PREFIX)
 
     def test_requires_n_at_least_two(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Byte-identity of CLI stdout against recorded digests.
 
-``golden_cli.json`` maps each invocation below (every mode, format and
-rule of ``curvature`` for n <= 8, and ``verify --n 6``) to its exit code
-and the SHA-256 of its stdout.  The digests were recorded from the path
-model route; every production route must reproduce those bytes exactly.
+``golden_cli.json`` maps each invocation below to its exit code and the
+SHA-256 of its stdout: every mode, format and rule of ``curvature`` for
+n <= 8, ``verify --n 6``, ``binom`` for n <= 6 and 0 <= k <= n,
+``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five vertices with
+both methods.  The ``curvature`` and ``verify`` digests were recorded from
+the path model route; every production route must reproduce those bytes
+exactly.
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -21,18 +24,43 @@ from qcurvature.cli import run
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
+FORMATS = ("text", "latex", "json")
+RULES = ("default", "literal", "prefix")
+
+
+def modes(n: int) -> tuple[str, ...]:
+    """Root mode needs n >= 2."""
+    return ("root", "generic") if n >= 2 else ("generic",)
+
+
 def invocations() -> list[tuple[str, ...]]:
     out = []
     for n in range(1, 9):
-        for mode in ("root", "generic"):
-            if mode == "root" and n < 2:
-                continue
-            for fmt in ("text", "latex", "json"):
-                for rule in ("default", "literal", "prefix"):
+        for mode in modes(n):
+            for fmt in FORMATS:
+                for rule in RULES:
                     out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
     for fmt in ("text", "json"):
         for rule in ("default", "literal", "prefix"):
             out.append(("verify", "--n", "6", "--format", fmt, "--rule", rule))
+    for n in range(1, 7):
+        for mode in modes(n):
+            for fmt in FORMATS:
+                for k in range(n + 1):
+                    out.append(("binom", "--n", str(n), "--k", str(k), "--mode", mode, "--format", fmt))
+    for n in range(2, 7):
+        for mode in modes(n):
+            for fmt in FORMATS:
+                for rule in RULES:
+                    out.append(("infinitesimal", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
+    for s in ("∅", "2", "0,1", "1,0", "0,0,0"):
+        for method in ("dp", "enum"):
+            for mode in modes(4):
+                for fmt in FORMATS:
+                    for rule in RULES:
+                        out.append(
+                            ("cq", "--n", "4", "--s", s, "--method", method, "--mode", mode, "--format", fmt, "--rule", rule)
+                        )
     return out
 
 

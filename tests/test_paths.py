@@ -14,7 +14,6 @@ from qcurvature.paths import (
     path_sum_enum,
     stay_count,
     successors,
-    _forward_tables,
 )
 
 comps = st.lists(st.integers(0, 4), max_size=4).map(tuple).map(Comp)
@@ -171,10 +170,17 @@ class TestPathSums:
             assert path_sum_dp(Comp((3, 3)), 4, rule) == ZERO
             assert path_sum_enum(Comp((3, 3)), 4, rule) == ZERO
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_pruning_soundness(self, n):
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_vertices_stay_within_their_step(self, n):
+        # each edge raises entry sum + length by at most one, so step t holds
+        # only vertices with entry sum + length <= t: the DP needs no bound
+        # on its vertices, and no word of a coefficient below d^n has an
+        # entry >= n, so dropping such words at a root would drop nothing
         for rule in WeightRule:
-            assert _forward_tables(n, rule, True) == _forward_tables(n, rule, False)
+            tables = forward_tables(n, rule)
+            for t, step in enumerate(tables):
+                assert all(s.total() + len(s) <= t for s in step), (n, rule, t)
+            assert all(x < n for s in tables[n] for x in s.entries), (n, rule)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_dp_step_identity(self, n):
