@@ -1,9 +1,12 @@
 """Exact symbolic calculator for deformed q-differentials at roots of unity.
 
 Computes the expansion of powers of the deformed differential d + a in the
-free graded setting, by a weighted-path model and by direct noncommutative
-normal ordering, and cross-validates the two exactly over Z[q] and modulo
-cyclotomic polynomials.
+free graded setting.  The production route is the q-binomial power formula
+D^N = sum_k [N choose k]_q M(k) d^(N-k), with M(k) from its closed product
+formula; the weighted-path model, direct noncommutative normal ordering and
+the recursion defining M(k) are oracles.  Every route is cross-validated
+exactly over Z[q] and modulo cyclotomic polynomials.  Each word
+e_{s_1} * ... * e_{s_m} is a :class:`Comp`, also a vertex of the path model.
 """
 
 from .cyclo import (
@@ -34,7 +37,6 @@ from .paths import (
 )
 from .freealg import (
     ElementPoly,
-    Monomial,
     OperatorPoly,
     Term,
     deformed_power,
@@ -88,7 +90,6 @@ __all__ = [
     "path_sum_enum",
     "path_sum_dp",
     "forward_tables",
-    "Monomial",
     "Term",
     "OperatorPoly",
     "ElementPoly",

@@ -36,13 +36,14 @@ from .cyclo import (
 )
 from .freealg import (
     ElementPoly,
-    Monomial,
     OperatorPoly,
     deformed_power,
     deformed_power_first_order,
     maurer_cartan_element,
 )
-from .paths import Comp, WeightRule, enumerate_vertices, path_sum_dp, path_sum_enum, stay_count
+from .paths import (
+    Comp, WeightRule, enumerate_vertices, forward_tables, path_sum_dp, path_sum_enum, stay_count
+)
 
 GENERIC = "generic"
 ROOT = "root"
@@ -71,10 +72,10 @@ class CurvatureExpansion:
         return sorted(self.c, reverse=True)
 
     def as_operator(self) -> OperatorPoly:
-        total = OperatorPoly.zero()
-        for k, element in self.c.items():
-            total = total + element.times_d_power(k)
-        return total
+        # the blocks share no key (k differs), so one dict holds them all
+        return OperatorPoly(
+            {(mono, k): c for k, element in self.c.items() for mono, c in element._terms.items()}
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,7 +86,7 @@ class CurvatureExpansion:
                 {
                     "k": k,
                     "terms": [
-                        {"s": list(mono.comp.entries), "coeff": coeffs_list(coeff)}
+                        {"s": list(mono.entries), "coeff": coeffs_list(coeff)}
                         for mono, coeff in self.c[k].items()
                     ],
                 }
@@ -115,8 +116,8 @@ class CurvatureExpansion:
                     raise ValueError(f"power k={k} appears twice")
                 terms = {}
                 for item in entry["terms"]:
-                    mono = Monomial(Comp(_json_list(item["s"])))
-                    word = list(mono.comp.entries)
+                    mono = Comp(_json_list(item["s"]))
+                    word = list(mono.entries)
                     if mono.degree() != n - k:
                         raise ValueError(
                             f"word {word} at k={k} has degree "
@@ -149,19 +150,16 @@ def _json_list(value: object) -> tuple:
 def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion assembled from weighted path sums (an oracle).
 
-    Every vertex reachable in n steps contributes its path sum as the
-    coefficient of its word, attached to d^(number of stay steps).
+    Every vertex reached in n steps contributes its path sum as the
+    coefficient of its word, attached to d^(number of stay steps).  Every
+    edge weight is a power of q, so no path sum of a reached vertex is zero.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rule = rule if rule is not None else resolve_default_rule()
     c: dict[int, dict] = {}
-    for s in enumerate_vertices(n):
-        k = stay_count(s, n)
-        weight = path_sum_dp(s, n, rule)
-        if weight.is_zero():
-            continue
-        c.setdefault(k, {})[Monomial(s)] = weight
+    for s, weight in forward_tables(n, rule)[n].items():
+        c.setdefault(stay_count(s, n), {})[s] = weight
     coefficients = {k: ElementPoly(terms) for k, terms in sorted(c.items())}
     return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=coefficients)
 
@@ -267,7 +265,7 @@ def _closed_form_packed(n: int, bits: int, start: int = 1) -> list[tuple[tuple[i
 
 
 def _element(coefficients: dict[tuple[int, ...], QPoly]) -> ElementPoly:
-    return ElementPoly({Monomial(Comp._trusted(s)): c for s, c in coefficients.items()})
+    return ElementPoly({Comp._trusted(s): c for s, c in coefficients.items()})
 
 
 def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
@@ -417,7 +415,7 @@ def infinitesimal_from_operator(n: int) -> InfinitesimalCoefficients:
         raise ValueError("n must be at least 2")
     op = deformed_power_first_order(n)
     coeffs = tuple(
-        op.coefficient(Monomial.from_entries(m), n - 1 - m) for m in range(n)
+        op.coefficient(Comp._trusted((m,)), n - 1 - m) for m in range(n)
     )
     return InfinitesimalCoefficients(n, coeffs)
 
@@ -502,18 +500,18 @@ ARBITRATION_N_MAX = 6
 
 
 @cache
-def resolve_default_rule(n_max: int = ARBITRATION_N_MAX) -> WeightRule:
+def resolve_default_rule() -> WeightRule:
     """The weight rule validated against the operator oracle.
 
     Exactly one of the two conventions reproduces the direct operator
-    expansion for every n up to n_max; that one is the shipped default.
+    expansion for n = 2..ARBITRATION_N_MAX; that one is the shipped default.
     """
     passing = [
         rule
         for rule in (WeightRule.LITERAL, WeightRule.PREFIX)
         if all(
             path_expansion(n, rule).as_operator() == deformed_power(n)
-            for n in range(2, n_max + 1)
+            for n in range(2, ARBITRATION_N_MAX + 1)
         )
     ]
     if len(passing) != 1:
@@ -642,13 +640,13 @@ def _first_operator_difference(
     keys = {(t.mono, t.dpow) for t in left.terms()} | {
         (t.mono, t.dpow) for t in right.terms()
     }
-    for mono, dpow in sorted(keys, key=lambda k: (-k[1], k[0].comp.sort_key())):
+    for mono, dpow in sorted(keys, key=lambda k: (-k[1], k[0].sort_key())):
         a = left.coefficient(mono, dpow)
         b = right.coefficient(mono, dpow)
         if a != b:
             return {
                 "n": n,
-                "s": list(mono.comp.entries),
+                "s": list(mono.entries),
                 "dpow": dpow,
                 "path_value": coeffs_list(a),
                 "oracle_value": coeffs_list(b),
@@ -671,7 +669,7 @@ def _check_maurer_cartan(n: int, rule: WeightRule) -> CheckResult:
         coeff = expansion.coefficient(k)
         if not coeff.is_zero():
             mono, value = coeff.items()[0]
-            bad = {"n": n, "k": k, "s": list(mono.comp.entries), "value": coeffs_list(value)}
+            bad = {"n": n, "k": k, "s": list(mono.entries), "value": coeffs_list(value)}
             return CheckResult("maurer-cartan", n, "fail", rule.value, bad)
     expected = maurer_cartan_element(n).reduce_mod(modulus)
     if expansion.coefficient(0) != expected:
@@ -753,7 +751,7 @@ def four_step_listing_mismatches() -> tuple[ListingMismatch, ...]:
         if not s.entries:
             continue  # the pure d^4 vertex carries no reference value
         stated = REFERENCE_FOUR_STEP_WEIGHTS[s.entries]
-        computed = oracle.coefficient(Monomial(s), stay_count(s, 4))
+        computed = oracle.coefficient(s, stay_count(s, 4))
         if poly_from_coeffs(stated) != computed:
             out.append(ListingMismatch(s.entries, stated, tuple(computed.coeffs)))
     return tuple(out)
@@ -811,8 +809,11 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
         checks.append(_check_infinitesimal(n, selected))
     for n in range(2, min(n_max, 5) + 1):
         checks.append(_check_dp_enum(n))
-    for n in range(2, n_max + 1):
-        checks.append(_check_reduction_commutes(n, selected))
+    # under any other rule the root route is the path model itself, so the
+    # comparison could not fail
+    if _power_formula_covers(selected):
+        for n in range(2, n_max + 1):
+            checks.append(_check_reduction_commutes(n, selected))
 
     mismatches = four_step_listing_mismatches()
     three_step = {

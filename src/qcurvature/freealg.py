@@ -23,69 +23,13 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
 from math import factorial
 from typing import Iterable
 
 from .cyclo import ONE, ZERO, CycloModulus, QPoly
-from .paths import Comp
+from .paths import EMPTY, Comp
 
 Generator = str | int  # "d", or an integer j standing for e_j
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A word e_{s_1} * ... * e_{s_n}, encoded by its composition vector.
-
-    The empty word is the scalar unit.  The degree of the word is the entry
-    sum plus the length, since each factor e_j has degree j + 1.
-    """
-
-    comp: Comp = Comp(())
-
-    @classmethod
-    def from_entries(cls, *entries: int) -> Monomial:
-        return cls(Comp(tuple(entries)))
-
-    def degree(self) -> int:
-        return self.comp.total() + len(self.comp)
-
-    def __len__(self) -> int:
-        return len(self.comp)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(Comp(self.comp.entries + other.comp.entries))
-
-    def text(self) -> str:
-        if not self.comp.entries:
-            return "1"
-        parts = []
-        for j, run in groupby(self.comp.entries):
-            count = len(list(run))
-            base = "a" if j == 0 else ("d(a)" if j == 1 else f"d^{j}(a)")
-            parts.append(base if count == 1 else f"{base}^{count}")
-        return "*".join(parts)
-
-    def latex(self) -> str:
-        if not self.comp.entries:
-            return "1"
-        parts = []
-        for j, run in groupby(self.comp.entries):
-            count = len(list(run))
-            base = "a" if j == 0 else ("d_M(a)" if j == 1 else f"d_M^{{{j}}}(a)")
-            if count == 1:
-                parts.append(base)
-            elif j == 0:
-                parts.append(f"a^{{{count}}}")
-            else:
-                parts.append(f"({base})^{{{count}}}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.comp.entries!r})"
-
-
-UNIT = Monomial()
 
 
 @dataclass(frozen=True)
@@ -93,13 +37,13 @@ class Term:
     """One normally ordered summand: coefficient * word * d^dpow."""
 
     coeff: QPoly
-    mono: Monomial
+    mono: Comp
     dpow: int
 
 
-def _term_key(item: tuple[tuple[Monomial, int], QPoly]) -> tuple:
+def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:
     (mono, dpow), _ = item
-    return (-dpow, mono.comp.sort_key())
+    return (-dpow, mono.sort_key())
 
 
 class OperatorPoly:
@@ -112,7 +56,7 @@ class OperatorPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[tuple[Monomial, int], QPoly] | None = None):
+    def __init__(self, terms: dict[tuple[Comp, int], QPoly] | None = None):
         self._terms = {
             key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()
         }
@@ -125,21 +69,21 @@ class OperatorPoly:
 
     @classmethod
     def one(cls) -> OperatorPoly:
-        return cls({(UNIT, 0): ONE})
+        return cls({(EMPTY, 0): ONE})
 
     @classmethod
     def d(cls) -> OperatorPoly:
-        return cls({(UNIT, 1): ONE})
+        return cls({(EMPTY, 1): ONE})
 
     @classmethod
     def e(cls, j: int) -> OperatorPoly:
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        return cls({(Monomial.from_entries(j), 0): ONE})
+        return cls({(Comp._trusted((j,)), 0): ONE})
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Monomial, int, QPoly]]) -> OperatorPoly:
-        acc: dict[tuple[Monomial, int], QPoly] = {}
+    def from_terms(cls, terms: Iterable[tuple[Comp, int, QPoly]]) -> OperatorPoly:
+        acc: dict[tuple[Comp, int], QPoly] = {}
         for mono, dpow, coeff in terms:
             key = (mono, dpow)
             acc[key] = acc.get(key, ZERO) + coeff
@@ -154,7 +98,7 @@ class OperatorPoly:
             for (mono, dpow), coeff in sorted(self._terms.items(), key=_term_key)
         ]
 
-    def coefficient(self, mono: Monomial, dpow: int) -> QPoly:
+    def coefficient(self, mono: Comp, dpow: int) -> QPoly:
         return self._terms.get((mono, dpow), ZERO)
 
     def is_zero(self) -> bool:
@@ -180,7 +124,7 @@ class OperatorPoly:
         return OperatorPoly({key: c * factor for key, c in self._terms.items()})
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
-        acc: dict[tuple[Monomial, int], QPoly] = {}
+        acc: dict[tuple[Comp, int], QPoly] = {}
         pushed = [other]  # pushed[k] is d^k * other, shared by every term with dpow k
         for (mono_a, dpow_a), coeff_a in self._terms.items():
             while len(pushed) <= dpow_a:
@@ -256,10 +200,10 @@ def _word_rewrite(entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int,
 
 def _d_times(op: OperatorPoly) -> OperatorPoly:
     """Left multiplication by the single generator d."""
-    acc: dict[tuple[Monomial, int], QPoly] = {}
+    acc: dict[tuple[Comp, int], QPoly] = {}
     for (mono, dpow), coeff in op._terms.items():
-        for word, extra, e in _word_rewrite(mono.comp.entries):
-            key = (Monomial(Comp._trusted(word)), dpow + extra)
+        for word, extra, e in _word_rewrite(mono.entries):
+            key = (Comp._trusted(word), dpow + extra)
             acc[key] = acc.get(key, ZERO) + coeff.shift(e)
     return OperatorPoly(acc)
 
@@ -295,7 +239,7 @@ class ElementPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Monomial, QPoly] | None = None):
+    def __init__(self, terms: dict[Comp, QPoly] | None = None):
         self._terms = {
             mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero()
         }
@@ -306,13 +250,13 @@ class ElementPoly:
 
     @classmethod
     def from_word(cls, *entries: int) -> ElementPoly:
-        return cls({Monomial.from_entries(*entries): ONE})
+        return cls({Comp(entries): ONE})
 
-    def items(self) -> list[tuple[Monomial, QPoly]]:
+    def items(self) -> list[tuple[Comp, QPoly]]:
         """Summands in canonical word order."""
-        return sorted(self._terms.items(), key=lambda item: item[0].comp.sort_key())
+        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
 
-    def coefficient(self, mono: Monomial) -> QPoly:
+    def coefficient(self, mono: Comp) -> QPoly:
         return self._terms.get(mono, ZERO)
 
     def is_zero(self) -> bool:
@@ -366,12 +310,12 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
     Each word picks up one term per factor: the factor's order is raised
     and the term is weighted by q to the degree of everything to its left.
     """
-    acc: dict[Monomial, QPoly] = {}
+    acc: dict[Comp, QPoly] = {}
     for mono, coeff in p._terms.items():
-        entries = mono.comp.entries
+        entries = mono.entries
         left_degree = 0
         for i, entry in enumerate(entries):
-            raised = Monomial(Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :]))
+            raised = Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :])
             acc[raised] = acc.get(raised, ZERO) + coeff.shift(left_degree)
             left_degree += entry + 1
     return ElementPoly(acc)
@@ -379,9 +323,7 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
 
 def multiply_by_a(p: ElementPoly) -> ElementPoly:
     """Left multiplication by the deforming element: prepend a to each word."""
-    return ElementPoly(
-        {Monomial(mono.comp.prepended()): coeff for mono, coeff in p._terms.items()}
-    )
+    return ElementPoly({mono.prepended(): coeff for mono, coeff in p._terms.items()})
 
 
 @cache
@@ -473,10 +415,7 @@ def deformed_power(n: int) -> OperatorPoly:
         power = following
     _word_rewrite.cache_clear()
     return OperatorPoly(
-        {
-            (Monomial(Comp._trusted(word)), dpow): _unpack_lanes(x, lane)
-            for (word, dpow), x in power.items()
-        }
+        {(Comp._trusted(word), dpow): _unpack_lanes(x, lane) for (word, dpow), x in power.items()}
     )
 
 
@@ -510,5 +449,5 @@ def maurer_cartan_element(n: int) -> ElementPoly:
                 left_degree += entry + 1
         element = following
     return ElementPoly(
-        {Monomial(Comp._trusted(word)): _unpack_lanes(x, lane) for word, x in element.items()}
+        {Comp._trusted(word): _unpack_lanes(x, lane) for word, x in element.items()}
     )

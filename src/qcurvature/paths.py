@@ -1,10 +1,12 @@
 """Composition vectors, the weighted step digraph, and weighted path sums.
 
-Vertices are finite tuples of nonnegative integers (compositions).  From a
-vertex s there is one edge prepending a zero entry, one self-loop ("stay"),
-and one edge incrementing each existing entry.  Weighted sums over length-n
-paths from the empty vertex are computed both by explicit enumeration (the
-slow oracle) and by forward dynamic programming (the production route).
+A composition vector s is both a vertex of the digraph and the word
+e_{s_1} * ... * e_{s_m} that every expansion in this package is a sum over.
+From a vertex s there is one edge prepending a zero entry, one self-loop
+("stay"), and one edge incrementing each existing entry.  Weighted sums over
+length-n paths from the empty vertex are computed both by explicit
+enumeration and by forward dynamic programming; both are oracles for the
+q-binomial power formula, which is the production route.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import groupby
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -22,10 +25,12 @@ from .cyclo import ONE, ZERO, QPoly, int_tuple
 class Comp:
     """A composition vector: finite tuple of nonnegative integers.
 
-    The empty tuple is the distinguished start vertex.  The canonical total
-    order (used for every deterministic listing in this package) is by
-    length first, then entrywise from the *last* entry backwards; this is
-    the order in which expansions are conventionally written out.
+    It is also the word e_{s_1} * ... * e_{s_m}, where e_j stands for the
+    j-th derivative of a.  The empty tuple is the distinguished start vertex
+    and the scalar unit.  The canonical total order (used for every
+    deterministic listing in this package) is by length first, then
+    entrywise from the *last* entry backwards; this is the order in which
+    expansions are conventionally written out.
     """
 
     entries: tuple[int, ...] = ()
@@ -43,12 +48,26 @@ class Comp:
         object.__setattr__(c, "entries", entries)
         return c
 
+    # perfbench/child.py and perfbench/test_perfbench.py read word.comp.entries;
+    # drop this once they read items() and text() (ROADMAP item 1)
+    @property
+    def comp(self) -> Comp:
+        return self
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def total(self) -> int:
         """Sum of the entries."""
         return sum(self.entries)
+
+    def degree(self) -> int:
+        """Degree of the word: each factor e_j has degree j + 1."""
+        return sum(self.entries) + len(self.entries)
+
+    def __mul__(self, other: Comp) -> Comp:
+        """Concatenation of words."""
+        return Comp._trusted(self.entries + other.entries)
 
     def prefix(self, i: int) -> Comp:
         """Entries strictly before 1-indexed position i; prefix(1) is empty."""
@@ -88,6 +107,41 @@ class Comp:
         except ValueError as exc:
             raise ValueError(f"malformed composition {text!r}") from exc
 
+    def text(self) -> str:
+        """The word in plain text.
+
+        >>> Comp((2, 0, 0)).text()
+        'd^2(a)*a^2'
+        """
+        if not self.entries:
+            return "1"
+        parts = []
+        for j, run in groupby(self.entries):
+            count = len(list(run))
+            base = "a" if j == 0 else ("d(a)" if j == 1 else f"d^{j}(a)")
+            parts.append(base if count == 1 else f"{base}^{count}")
+        return "*".join(parts)
+
+    def latex(self) -> str:
+        """The word in LaTeX.
+
+        >>> Comp((2, 0, 0)).latex()
+        'd_M^{2}(a)a^{2}'
+        """
+        if not self.entries:
+            return "1"
+        parts = []
+        for j, run in groupby(self.entries):
+            count = len(list(run))
+            base = "a" if j == 0 else ("d_M(a)" if j == 1 else f"d_M^{{{j}}}(a)")
+            if count == 1:
+                parts.append(base)
+            elif j == 0:
+                parts.append(f"a^{{{count}}}")
+            else:
+                parts.append(f"({base})^{{{count}}}")
+        return "".join(parts)
+
     def __repr__(self) -> str:
         return f"Comp({self.entries!r})"
 
@@ -110,7 +164,7 @@ class WeightRule(str, Enum):
     PREFIX = "prefix"
 
     def stay_exponent(self, s: Comp) -> int:
-        return s.total() + len(s)
+        return s.degree()
 
     def increment_exponent(self, s: Comp, i: int) -> int:
         if self is WeightRule.LITERAL:
@@ -147,10 +201,10 @@ def successors(s: Comp, rule: WeightRule) -> list[Edge]:
 def stay_count(s: Comp, n: int) -> int:
     """Number of stay steps on any length-n path from the empty vertex to s.
 
-    Equals n - |s| - len(s); a negative value means s is unreachable in
-    n steps (callers filter on this).
+    Equals n minus the degree of s; a negative value means s is unreachable
+    in n steps (callers filter on this).
     """
-    return n - s.total() - len(s)
+    return n - s.degree()
 
 
 def _compositions(length: int, max_total: int) -> Iterator[tuple[int, ...]]:

@@ -30,7 +30,6 @@ from qcurvature.cyclo import (
 )
 from qcurvature.freealg import (
     ElementPoly,
-    Monomial,
     deformed_power,
     maurer_cartan_element,
 )
@@ -64,7 +63,7 @@ def element(*terms):
     """Shorthand: terms are (entries, coeff-as-QPoly-or-int)."""
     return ElementPoly(
         {
-            Monomial(Comp(entries)): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
+            Comp(entries): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
             for entries, coeff in terms
         }
     )
@@ -80,7 +79,7 @@ def test_criterion_01_three_step_curvature():
         )
         assert expansion.coefficient(0) == expected_c0
         # the cubic word is present with coefficient 1 ...
-        assert expansion.coefficient(0).coefficient(Monomial(Comp((0, 0, 0)))) == ONE
+        assert expansion.coefficient(0).coefficient(Comp((0, 0, 0))) == ONE
         # ... and the discrepancy with the closed-form display is documented
         note = verify_suite(3).three_step_display
         assert note["missing_word"] == [0, 0, 0]
@@ -186,7 +185,7 @@ def test_criterion_09_four_step_reference_listing():
             assert m.computed, s
             comp = Comp(s)
             k = 4 - comp.total() - len(comp)
-            assert QPoly(m.computed) == oracle.coefficient(Monomial(comp), k)
+            assert QPoly(m.computed) == oracle.coefficient(comp, k)
             assert QPoly(m.stated) != QPoly(m.computed)
 
 

@@ -25,12 +25,11 @@ from qcurvature.curvature import (
 from qcurvature.cyclo import ONE, CycloModulus, QPoly, q_binomial
 from qcurvature.freealg import (
     ElementPoly,
-    Monomial,
     OperatorPoly,
     deformed_power,
     maurer_cartan_element,
 )
-from qcurvature.paths import Comp, WeightRule
+from qcurvature.paths import Comp, WeightRule, forward_tables, stay_count
 
 PREFIX = WeightRule.PREFIX
 LITERAL = WeightRule.LITERAL
@@ -40,7 +39,7 @@ def element(*terms):
     """Shorthand: terms are (entries, coeff-as-QPoly-or-int)."""
     return ElementPoly(
         {
-            Monomial(Comp(entries)): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
+            Comp(entries): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
             for entries, coeff in terms
         }
     )
@@ -62,7 +61,7 @@ class TestPathExpansion:
 
     def test_n4_square_of_first_derivative(self):
         c0 = path_expansion(4, PREFIX).coefficient(0)
-        mono = Monomial(Comp((1, 1)))
+        mono = Comp((1, 1))
         assert c0.coefficient(mono) == QPoly((1, 1, 1))
         assert deformed_power(4).coefficient(mono, 0) == QPoly((1, 1, 1))
 
@@ -166,7 +165,7 @@ class TestClosedForm:
             if value:
                 expected[word] = value
         root = root_of_unity_expansion(n, PREFIX).coefficient(0)
-        assert {mono.comp.entries: c for mono, c in root.items()} == expected
+        assert {mono.entries: c for mono, c in root.items()} == expected
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_packed_generic_route_equals_unpacked_product(self, n):
@@ -174,7 +173,7 @@ class TestClosedForm:
         for k in range(1, n + 1):
             binomial = q_binomial(n, k)
             expected = {word: binomial * closed_form(word) for word in compositions(k)}
-            assert {mono.comp.entries: v for mono, v in c[n - k].items()} == expected
+            assert {mono.entries: v for mono, v in c[n - k].items()} == expected
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_values_at_one_respect_the_packing_bound(self, n):
@@ -191,10 +190,10 @@ class TestBinomialExpansion:
     def test_n2_structure(self):
         assert binomial_expansion(2) == OperatorPoly.from_terms(
             [
-                (Monomial(), 2, ONE),
-                (Monomial(Comp((0,))), 1, QPoly((1, 1))),
-                (Monomial(Comp((1,))), 0, ONE),
-                (Monomial(Comp((0, 0))), 0, ONE),
+                (Comp(()), 2, ONE),
+                (Comp((0,)), 1, QPoly((1, 1))),
+                (Comp((1,)), 0, ONE),
+                (Comp((0, 0)), 0, ONE),
             ]
         )
 
@@ -338,6 +337,26 @@ class TestJsonRoundTrip:
             CurvatureExpansion.from_json_dict({"n": 2, "mode": "root", "rule": "prefix", "c": c})
 
 
+class TestWordType:
+    """A word is a Comp everywhere: in the algebra, the path model and the output."""
+
+    def test_every_route_returns_comp_words(self):
+        n = 5
+        words = [t.mono for t in deformed_power(n).terms()]
+        words += [word for word, _ in maurer_cartan_element(n).items()]
+        expansions = [generic_expansion(n), root_of_unity_expansion(n), path_expansion(n, PREFIX)]
+        expansions += [CurvatureExpansion.from_json_dict(e.to_json_dict()) for e in expansions[:2]]
+        for expansion in expansions:
+            for k in expansion.powers():
+                words += [word for word, _ in expansion.coefficient(k).items()]
+        assert words and all(type(word) is Comp for word in words)
+
+    def test_dp_vertex_keys_the_expansion(self):
+        expansion = path_expansion(5, PREFIX)
+        for s, weight in forward_tables(5, PREFIX)[5].items():
+            assert expansion.coefficient(stay_count(s, 5)).coefficient(s) == weight
+
+
 class TestArbitrationAndVerify:
     def test_default_rule_is_prefix(self):
         assert resolve_default_rule() is PREFIX
@@ -373,6 +392,15 @@ class TestArbitrationAndVerify:
         assert not report.passed
         failing = [c for c in report.checks if c.status == "fail"]
         assert any(c.check == "oracle-equivalence" and c.rule == "literal" for c in failing)
+
+    def test_reduction_commutes_only_where_two_routes_differ(self):
+        # under the literal rule the root route is the path model itself,
+        # so the check could not fail and is not run
+        def rows(report):
+            return [c.n for c in report.checks if c.check == "reduction-commutes"]
+
+        assert rows(verify_suite(6, LITERAL)) == []
+        assert rows(verify_suite(6)) == [2, 3, 4, 5, 6]
 
     def test_wrong_closed_form_fails_verify(self, monkeypatch):
         # both production routes read M(n) from the closed form; the path

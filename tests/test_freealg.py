@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
-    Monomial,
     _lane_bits,
     _unpack_lanes,
     _word_rewrite,
@@ -29,7 +28,7 @@ q2 = QPoly((0, 0, 1))
 def op(*terms):
     """Shorthand: terms are (entries, dpow, coeff-as-QPoly-or-int)."""
     return OperatorPoly.from_terms(
-        (Monomial(Comp(entries)), dpow, coeff if isinstance(coeff, QPoly) else QPoly((coeff,)))
+        (Comp(entries), dpow, coeff if isinstance(coeff, QPoly) else QPoly((coeff,)))
         for entries, dpow, coeff in terms
     )
 
@@ -38,7 +37,7 @@ def element(*terms):
     """Shorthand: terms are (entries, coeff-as-QPoly-or-int)."""
     return ElementPoly(
         {
-            Monomial(Comp(entries)): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
+            Comp(entries): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
             for entries, coeff in terms
         }
     )
@@ -74,13 +73,12 @@ class TestNormalOrder:
     def test_leibniz_consistency_small_monomials(self):
         # d * word == (derivative of word) + q^deg(word) * word * d
         for s in enumerate_vertices(5):
-            mono = Monomial(s)
             word = list(s.entries)
             lhs = normal_order(["d"] + word)
             shifted = element((s.entries, 1)).times_d_power(1)
             rhs = (
                 q_derivative(element((s.entries, ONE))).to_operator()
-                + shifted.scaled(QPoly.monomial(mono.degree()))
+                + shifted.scaled(QPoly.monomial(s.degree()))
             )
             assert lhs == rhs, s
 
@@ -191,7 +189,7 @@ class TestMaurerCartan:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pure_product_word_has_unit_coefficient(self, n):
         mc = maurer_cartan_element(n)
-        assert mc.coefficient(Monomial(Comp((0,) * n))) == ONE
+        assert mc.coefficient(Comp((0,) * n)) == ONE
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_recursion_soundness(self, n):
@@ -250,30 +248,7 @@ class TestElementPoly:
         assert reduced == element(((1,), ONE))
 
 
-class TestMonomial:
-    def test_concatenation(self):
-        left = Monomial(Comp((1, 0)))
-        right = Monomial(Comp((2,)))
-        assert left * right == Monomial(Comp((1, 0, 2)))
-
-    def test_degree_counts_each_factor_plus_order(self):
-        assert Monomial(Comp(())).degree() == 0
-        assert Monomial(Comp((0,))).degree() == 1
-        assert Monomial(Comp((2, 0, 1))).degree() == 6
-
-
 class TestRendering:
-    def test_monomial_text(self):
-        assert Monomial(Comp(())).text() == "1"
-        assert Monomial(Comp((0, 0, 0))).text() == "a^3"
-        assert Monomial(Comp((1, 1))).text() == "d(a)^2"
-        assert Monomial(Comp((2, 0))).text() == "d^2(a)*a"
-
-    def test_monomial_latex(self):
-        assert Monomial(Comp((0, 0, 0))).latex() == "a^{3}"
-        assert Monomial(Comp((1, 1))).latex() == "(d_M(a))^{2}"
-        assert Monomial(Comp((2,))).latex() == "d_M^{2}(a)"
-
     def test_operator_str(self):
         assert str(OperatorPoly.zero()) == "0"
         assert str(deformed_power(2)) == "d^2 + (1+q)*a*d + d(a) + a^2"

@@ -67,6 +67,27 @@ class TestComp:
     def test_order_is_total(self, a, b):
         assert (a < b) or (b < a) or (a == b)
 
+    def test_concatenation(self):
+        left = Comp((1, 0))
+        right = Comp((2,))
+        assert left * right == Comp((1, 0, 2))
+
+    def test_degree_counts_each_factor_plus_order(self):
+        assert Comp(()).degree() == 0
+        assert Comp((0,)).degree() == 1
+        assert Comp((2, 0, 1)).degree() == 6
+
+    def test_text(self):
+        assert Comp(()).text() == "1"
+        assert Comp((0, 0, 0)).text() == "a^3"
+        assert Comp((1, 1)).text() == "d(a)^2"
+        assert Comp((2, 0)).text() == "d^2(a)*a"
+
+    def test_latex(self):
+        assert Comp((0, 0, 0)).latex() == "a^{3}"
+        assert Comp((1, 1)).latex() == "(d_M(a))^{2}"
+        assert Comp((2,)).latex() == "d_M^{2}(a)"
+
 
 class TestSuccessors:
     def test_empty_vertex(self):
