@@ -8,7 +8,7 @@ at a primitive root" into a decidable remainder test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from operator import add
@@ -315,18 +315,18 @@ class CycloModulus:
     """The quotient ring Z[q]/Phi_n(q), i.e. q as a primitive n-th root of unity."""
 
     n: int
-    phi: QPoly
+    phi: QPoly = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("a primitive root of unity needs n >= 2")
-        # reduce() folds modulo q^n - 1 first, which is exact only for Phi_n
-        if self.phi != cyclotomic(self.n):
-            raise ValueError(f"modulus must be the {self.n}-th cyclotomic polynomial")
+        # derived, never given: reduce() folds modulo q^n - 1 first, which is
+        # exact only for Phi_n
+        object.__setattr__(self, "phi", cyclotomic(self.n))
 
     @classmethod
     def of(cls, n: int) -> CycloModulus:
-        return cls(n, cyclotomic(n))
+        return cls(n)
 
     def reduce(self, p: QPoly) -> QPoly:
         return reduce(p, self)

@@ -64,10 +64,6 @@ class OperatorPoly:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls) -> OperatorPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> OperatorPoly:
         return cls({(EMPTY, 0): ONE})
 
@@ -80,14 +76,6 @@ class OperatorPoly:
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
         return cls({(Comp._trusted((j,)), 0): ONE})
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Comp, int, QPoly]]) -> OperatorPoly:
-        acc: dict[tuple[Comp, int], QPoly] = {}
-        for mono, dpow, coeff in terms:
-            key = (mono, dpow)
-            acc[key] = acc.get(key, ZERO) + coeff
-        return cls(acc)
 
     # -- inspection -----------------------------------------------------
 

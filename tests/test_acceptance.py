@@ -124,8 +124,8 @@ def test_criterion_05_power_formula():
 
 
 def test_criterion_06_infinitesimal_coefficients():
-    with criterion(6, "infinitesimal coefficients n=2..8", 10.0):
-        for n in range(2, 9):
+    with criterion(6, "infinitesimal coefficients n=2..20", 10.0):
+        for n in range(2, 21):
             path_side = infinitesimal_coefficients(n)
             operator_side = infinitesimal_from_operator(n)
             assert path_side.coeffs == operator_side.coeffs, n

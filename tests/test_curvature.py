@@ -1,9 +1,11 @@
 """Tests for the curvature expansions and the cross-validation suite."""
 
 import copy
+from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qcurvature.curvature as curvature
 from qcurvature.curvature import (
@@ -22,7 +24,8 @@ from qcurvature.curvature import (
     root_of_unity_expansion,
     verify_suite,
 )
-from qcurvature.cyclo import ONE, CycloModulus, QPoly, q_binomial
+from qcurvature.cli import run
+from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly, q_binomial
 from qcurvature.freealg import (
     ElementPoly,
     OperatorPoly,
@@ -188,13 +191,13 @@ class TestClosedForm:
 
 class TestBinomialExpansion:
     def test_n2_structure(self):
-        assert binomial_expansion(2) == OperatorPoly.from_terms(
-            [
-                (Comp(()), 2, ONE),
-                (Comp((0,)), 1, QPoly((1, 1))),
-                (Comp((1,)), 0, ONE),
-                (Comp((0, 0)), 0, ONE),
-            ]
+        assert binomial_expansion(2) == OperatorPoly(
+            {
+                (Comp(()), 2): ONE,
+                (Comp((0,)), 1): QPoly((1, 1)),
+                (Comp((1,)), 0): ONE,
+                (Comp((0, 0)), 0): ONE,
+            }
         )
 
     @pytest.mark.parametrize("n", range(2, 6))
@@ -218,12 +221,35 @@ class TestInfinitesimal:
         for m in range(n):
             assert path_side.coeffs[m] == q_binomial(n, m + 1)
 
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_literal_spine_differs_only_by_its_moves(self, n):
+        # raising the single entry j charges q^j under the literal rule
+        # and q^0 under the prefix rule; the stay weights are the same
+        literal = infinitesimal_coefficients(n, LITERAL).coeffs
+        prefix = infinitesimal_coefficients(n, PREFIX).coeffs
+        assert literal == tuple(c.shift(m * (m - 1) // 2) for m, c in enumerate(prefix))
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reduction_at_root(self, n):
         reduced = infinitesimal_coefficients(n, PREFIX).reduced(CycloModulus.of(n))
         for m in range(n - 1):
             assert reduced.coeffs[m].is_zero()
         assert reduced.coeffs[n - 1] == ONE
+
+
+class TestStaySum:
+    @given(
+        st.integers(0, 6),
+        st.lists(st.integers(0, 5), max_size=4),
+    )
+    def test_matches_brute_force(self, stays, exponents):
+        expected = ZERO
+        for counts in product(range(stays + 1), repeat=len(exponents)):
+            if sum(counts) == stays:
+                expected = expected + QPoly.monomial(
+                    sum(c * e for c, e in zip(counts, exponents))
+                )
+        assert curvature._stay_sum(stays, exponents) == expected
 
 
 class TestCompositionSumReadings:
@@ -392,6 +418,21 @@ class TestArbitrationAndVerify:
         assert not report.passed
         failing = [c for c in report.checks if c.status == "fail"]
         assert any(c.check == "oracle-equivalence" and c.rule == "literal" for c in failing)
+
+    def test_failed_arbitration_is_reported_not_raised(self, monkeypatch):
+        # an operator oracle that neither rule reproduces: verify must
+        # report the failed arbitration and exit 1, not crash
+        real = curvature.deformed_power
+        monkeypatch.setattr(curvature, "deformed_power", lambda n: real(n) + OperatorPoly.d())
+        resolve_default_rule.cache_clear()
+        try:
+            report = verify_suite(3)
+            assert not report.passed
+            [row] = [c for c in report.checks if c.check == "weight-rule-arbitration"]
+            assert row.status == "fail"
+            assert run(["verify", "--n", "3"]) == 1
+        finally:
+            resolve_default_rule.cache_clear()
 
     def test_reduction_commutes_only_where_two_routes_differ(self):
         # under the literal rule the root route is the path model itself,

@@ -27,9 +27,11 @@ q2 = QPoly((0, 0, 1))
 
 def op(*terms):
     """Shorthand: terms are (entries, dpow, coeff-as-QPoly-or-int)."""
-    return OperatorPoly.from_terms(
-        (Comp(entries), dpow, coeff if isinstance(coeff, QPoly) else QPoly((coeff,)))
-        for entries, dpow, coeff in terms
+    return OperatorPoly(
+        {
+            (Comp(entries), dpow): coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
+            for entries, dpow, coeff in terms
+        }
     )
 
 
@@ -232,8 +234,8 @@ class TestFirstOrderPower:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_single_letter_part_of_full_power(self, n):
-        single_letter = OperatorPoly.from_terms(
-            (t.mono, t.dpow, t.coeff) for t in deformed_power(n).terms() if len(t.mono) == 1
+        single_letter = OperatorPoly(
+            {(t.mono, t.dpow): t.coeff for t in deformed_power(n).terms() if len(t.mono) == 1}
         )
         assert deformed_power_first_order(n) == single_letter
 
@@ -250,6 +252,6 @@ class TestElementPoly:
 
 class TestRendering:
     def test_operator_str(self):
-        assert str(OperatorPoly.zero()) == "0"
+        assert str(OperatorPoly()) == "0"
         assert str(deformed_power(2)) == "d^2 + (1+q)*a*d + d(a) + a^2"
         assert str(op(((0,), 0, q))) == "q*a"
