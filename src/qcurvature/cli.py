@@ -136,9 +136,9 @@ def _element_latex(element: ElementPoly) -> str:
 
 
 def _run_curvature(args: argparse.Namespace) -> int:
+    _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
     if args.mode == "root":
-        _require(args.n >= 2, "curvature --mode root needs --n >= 2")
         expansion = root_of_unity_expansion(args.n, rule)
         top = args.n - 1
     else:
@@ -156,11 +156,11 @@ def _run_curvature(args: argparse.Namespace) -> int:
 
 
 def _run_cq(args: argparse.Namespace) -> int:
+    _require(args.mode != "root" or args.n >= 2, "cq --mode root needs --n >= 2")
     rule = _resolve_rule(args)
     compute = path_sum_dp if args.method == "dp" else path_sum_enum
     value = compute(args.s, args.n, rule)
     if args.mode == "root":
-        _require(args.n >= 2, "cq --mode root needs --n >= 2")
         value = CycloModulus.of(args.n).reduce(value)
     payload = {
         "n": args.n,
@@ -174,9 +174,9 @@ def _run_cq(args: argparse.Namespace) -> int:
 
 
 def _run_binom(args: argparse.Namespace) -> int:
+    _require(args.mode != "root" or args.n >= 2, "binom --mode root needs --n >= 2")
     value = q_binomial(args.n, args.k)
     if args.mode == "root":
-        _require(args.n >= 2, "binom --mode root needs --n >= 2")
         value = CycloModulus.of(args.n).reduce(value)
     payload = {"n": args.n, "k": args.k, "mode": args.mode}
     _poly_out(value, args.format, payload)

@@ -41,7 +41,7 @@ from .freealg import (
     maurer_cartan_element,
 )
 from .paths import (
-    Comp, WeightRule, enumerate_vertices, forward_tables, path_sum_dp, path_sum_enum, stay_count
+    Comp, WeightRule, _path_sums_enum, enumerate_vertices, forward_tables, stay_count
 )
 
 GENERIC = "generic"
@@ -372,21 +372,21 @@ class InfinitesimalCoefficients:
         )
 
 
-def _stay_sum(stays: int, exponents: list[int]) -> QPoly:
-    """Sum of q^(sum of c_i * e_i) over all counts c_i >= 0 with sum c_i = stays.
+def _spine_dp(steps: int, stay: list[int], move: list[int]) -> list[QPoly]:
+    """Total weight at every position of a chain after ``steps`` steps.
 
-    The complete homogeneous sum h_stays(q^e_0, q^e_1, ...), by a forward DP
-    over the exponents: sums[t] holds the sum over the exponents seen so far
-    with t stays spent.
+    Walks start at position 0; each step stays at p, with weight q^stay[p],
+    or moves from p to p + 1, with weight q^move[p] (not from the last p).
 
-    >>> _stay_sum(2, [0, 1])
-    QPoly('1 + q + q^2')
+    >>> _spine_dp(2, [0, 1], [0])
+    [QPoly('1'), QPoly('1 + q')]
     """
-    sums = [ONE] + [ZERO] * stays
-    for e in exponents:
-        for t in range(1, stays + 1):
-            sums[t] = sums[t] + sums[t - 1].shift(e)
-    return sums[stays]
+    sums = [ONE] + [ZERO] * (len(stay) - 1)
+    for _ in range(steps):
+        for p in range(len(stay) - 1, 0, -1):  # high to low: sums[p - 1] is still the last step
+            sums[p] = sums[p].shift(stay[p]) + sums[p - 1].shift(move[p - 1])
+        sums[0] = sums[0].shift(stay[0])
+    return sums
 
 
 def infinitesimal_coefficients(
@@ -395,24 +395,19 @@ def infinitesimal_coefficients(
     """Path-model first-order coefficients.
 
     Only single-entry words survive when the deformation parameter squares
-    to zero, so every contributing path climbs the spine of single-entry
-    vertices; entry m sums over all ways to spread the n-1-m stay steps
-    along that spine (:func:`_stay_sum`, the spine's forward DP), times the
-    weight of the moves up the spine.
+    to zero, so every contributing path climbs the spine
+    ∅ -> (0) -> ... -> (n-1) of single-entry vertices, and entry m is the
+    weight of the length-n walks ending at (m).  One walk of the spine's
+    forward DP (:func:`_spine_dp`) gives every entry.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     rule = rule if rule is not None else resolve_default_rule()
-    spine_start = Comp(())
-    coeffs = []
-    for m in range(n):
-        spine = [spine_start] + [Comp((j,)) for j in range(m + 1)]
-        move_exponent = 0  # the prepend step is weight 1
-        for j in range(m):
-            move_exponent += rule.increment_exponent(Comp((j,)), 1)
-        stay_exponents = [rule.stay_exponent(v) for v in spine]
-        coeffs.append(_stay_sum(n - 1 - m, stay_exponents).shift(move_exponent))
-    return InfinitesimalCoefficients(n, tuple(coeffs))
+    spine = [Comp(())] + [Comp((j,)) for j in range(n)]
+    stay = [rule.stay_exponent(v) for v in spine]
+    # the prepend step is weight 1; then raise the single entry j to j + 1
+    move = [0] + [rule.increment_exponent(Comp((j,)), 1) for j in range(n - 1)]
+    return InfinitesimalCoefficients(n, tuple(_spine_dp(n, stay, move)[1:]))
 
 
 def infinitesimal_from_operator(n: int) -> InfinitesimalCoefficients:
@@ -449,25 +444,21 @@ def infinitesimal_composition_sum(
     """Evaluate a candidate reading of the closed first-order formula.
 
     The formula sums q^(|v| + sum of i*v_i) over a set of integer vectors
-    attached to the spine, but the intended vector meaning is ambiguous.
-    Three readings are implemented:
+    attached to the spine, but the intended vector meaning is ambiguous.  A
+    stay count v_i enters the exponent as (i+1)*v_i, so each reading is one
+    walk of :func:`_spine_dp` with free moves, and entry m reads the walks
+    with n-1-m stays.  Three readings are implemented:
 
     - ``occupancy``: entries are occupancies (>= 1) of the m+1 nonempty
-      spine vertices, summing to n; the exponent is evaluated on the
-      derived stay counts (occupancy - 1); the empty vertex is never
-      stayed at.
+      spine vertices, summing to n, and the empty vertex is never stayed
+      at: stays weigh [1, ..., n], over n-1 steps.
     - ``stay``: entries are stay counts (>= 0) at the m+1 nonempty spine
-      vertices, any remaining stays sit at the empty vertex with weight
-      one; the exponent is evaluated on the entries directly.
-    - ``block``: entries are occupancies (>= 1) of the m+1 blocks starting
-      at the empty vertex, so the target vertex gets no stays; the
-      exponent is evaluated on the derived stay counts with the leading
-      (empty-vertex) entry excluded from the plain sum.
+      vertices, and the empty vertex takes the slack with weight one:
+      stays weigh [0, 1, ..., n], over n steps read from position 1.
+    - ``block``: entries are occupancies (>= 1) of the m+1 blocks from the
+      empty vertex, so the target gets no stays, and the leading entry is
+      left out of |v|: stays weigh [0, 2, ..., n], over n-1 steps.
 
-    A stay count v_i enters |v| + sum of i*v_i as (i+1)*v_i, so each reading
-    is :func:`_stay_sum` over one weight list: ``occupancy`` [1, ..., m+1],
-    ``stay`` [0, 1, ..., m+1] (the empty vertex takes the slack) and
-    ``block`` [0, 2, ..., m+1] (the leading entry is left out of |v|).
     Every entry is compared against the path-model value; the result
     records, per entry, whether the reading reproduces it.
     """
@@ -476,17 +467,15 @@ def infinitesimal_composition_sum(
     if n < 2:
         raise ValueError("n must be at least 2")
     reference = infinitesimal_coefficients(n, rule).coeffs
-    values = []
-    for m in range(n):
-        weights = list(range(1, m + 2))
-        if convention == "stay":
-            weights = [0] + weights
-        elif convention == "block":
-            weights[0] = 0
-        values.append(_stay_sum(n - 1 - m, weights))
-    values_t = tuple(values)
-    matches = tuple(v == r for v, r in zip(values_t, reference))
-    return CompositionSumComparison(n, convention, values_t, reference, matches)
+    free = [0] * n
+    if convention == "occupancy":
+        values = _spine_dp(n - 1, list(range(1, n + 1)), free)
+    elif convention == "stay":
+        values = _spine_dp(n, list(range(n + 1)), free)[1:]
+    else:
+        values = _spine_dp(n - 1, [0] + list(range(2, n + 1)), free)
+    matches = tuple(v == r for v, r in zip(values, reference))
+    return CompositionSumComparison(n, convention, tuple(values), reference, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +709,15 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
 
 def _check_dp_enum(n: int) -> CheckResult:
     for rule in (WeightRule.LITERAL, WeightRule.PREFIX):
-        for s in enumerate_vertices(n):
-            dp = path_sum_dp(s, n, rule)
-            enum = path_sum_enum(s, n, rule)
-            if dp != enum:
+        dp, enum = forward_tables(n, rule)[n], _path_sums_enum(n, rule)
+        for s in sorted(dp.keys() | enum.keys(), key=Comp.sort_key):
+            if dp.get(s, ZERO) != enum.get(s, ZERO):
                 bad = {
                     "n": n,
                     "rule": rule.value,
                     "s": list(s.entries),
-                    "dp": coeffs_list(dp),
-                    "enum": coeffs_list(enum),
+                    "dp": coeffs_list(dp.get(s, ZERO)),
+                    "enum": coeffs_list(enum.get(s, ZERO)),
                 }
                 return CheckResult("dp-vs-enum", n, "fail", None, bad)
     return CheckResult("dp-vs-enum", n, "pass")
@@ -760,8 +748,8 @@ def four_step_listing_mismatches() -> tuple[ListingMismatch, ...]:
 def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport:
     """Run every cross-check and return a structured report.
 
-    Checks whose cost is driven by explicit path enumeration
-    (dp-vs-enum, binomial-formula) are capped at n = 5.  Failures are
+    dp-vs-enum (exponential path enumeration) and binomial-formula (the
+    operator oracle's expansion) are capped at n = 5.  Failures are
     recorded as data, never raised.  When ``rule`` is given the
     rule-dependent checks run under it (and gate the overall result);
     otherwise the oracle-arbitrated default is used.

@@ -68,6 +68,8 @@ class QPoly:
 
     def __add__(self, other: QPoly | int) -> QPoly:
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -85,13 +87,17 @@ class QPoly:
         return QPoly._trusted(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: QPoly | int) -> QPoly:
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other: QPoly | int) -> QPoly:
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other: QPoly | int) -> QPoly:
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
@@ -222,7 +228,8 @@ def int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _coerce(value: QPoly | int) -> QPoly:
+def _coerce(value: object) -> QPoly:
+    """``value`` as a polynomial; NotImplemented for anything but QPoly or int."""
     if isinstance(value, QPoly):
         return value
     if isinstance(value, int):
@@ -299,15 +306,21 @@ def divisors(n: int) -> list[int]:
 def cyclotomic(n: int) -> QPoly:
     """The n-th cyclotomic polynomial, by exact division of q^n - 1.
 
+    Builds Phi_m for every divisor m of n in ascending order: q^m - 1 divided
+    by the Phi of each smaller divisor of m, all built already.
+
     >>> print(cyclotomic(4))
     1 + q^2
     """
     if n < 1:
         raise ValueError("n must be positive")
-    numerator = QPoly.monomial(n) - ONE
-    for d in divisors(n)[:-1]:
-        numerator = numerator.exact_div(cyclotomic(d))
-    return numerator
+    phi: dict[int, QPoly] = {}
+    for m in divisors(n):
+        numerator = QPoly.monomial(m) - ONE
+        for d in divisors(m)[:-1]:
+            numerator = numerator.exact_div(phi[d])
+        phi[m] = numerator
+    return phi[n]
 
 
 @dataclass(frozen=True)

@@ -173,17 +173,18 @@ def _word_rewrite(entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int,
     Returned as ``(word, dpow, e)`` triples, each standing for
     ``q^e * word * d^dpow`` with ``word`` an entries tuple: the rewrite only
     ever multiplies by a power of q and never merges two terms, so every
-    coefficient is one monomial.  Recursive application of the single
-    rewrite rule; the closed prefix-sum formula is *not* used here, so this
-    stays an independent route.
+    coefficient is one monomial.  One left-to-right pass of the rewrite rule
+    d * e_j = e_(j+1) + q^(j+1) * e_j * d, pushing d past one factor at a
+    time; the closed prefix-sum formula is not used, so this stays an
+    independent route.
     """
-    if not entries:
-        return (((), 1, 0),)
-    head, rest = entries[0], entries[1:]
-    passed = tuple(
-        ((head,) + word, dpow, e + head + 1) for word, dpow, e in _word_rewrite(rest)
-    )
-    return (((head + 1,) + rest, 0, 0),) + passed
+    out = []
+    e = 0
+    for i, head in enumerate(entries):
+        out.append((entries[:i] + (head + 1,) + entries[i + 1 :], 0, e))
+        e += head + 1
+    out.append((entries, 1, e))
+    return tuple(out)
 
 
 def _d_times(op: OperatorPoly) -> OperatorPoly:
@@ -384,8 +385,8 @@ def deformed_power(n: int) -> OperatorPoly:
     Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients: e_0
     prepends an entry and d is passed through each word by
     :func:`_word_rewrite`, whose memo is cleared once the loop ends: it
-    holds every suffix of every word, 2^n entries, and nothing reads them
-    after the call.  The pure d^n term is kept.
+    holds every word of D^1, ..., D^(n-1), 2^(n-1) entries, and nothing
+    reads them after the call.  The pure d^n term is kept.
 
     >>> print(deformed_power(2))
     d^2 + (1+q)*a*d + d(a) + a^2

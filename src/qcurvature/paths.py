@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import groupby
+from itertools import combinations, groupby
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .cyclo import ONE, ZERO, QPoly, int_tuple
 
@@ -207,54 +207,51 @@ def stay_count(s: Comp, n: int) -> int:
     return n - s.degree()
 
 
-def _compositions(length: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _compositions(length - 1, max_total - head):
-            yield (head,) + tail
-
-
 @cache
 def enumerate_vertices(n: int) -> tuple[Comp, ...]:
     """All compositions with entry sum + length <= n, canonically ordered.
 
     These are exactly the vertices reachable from the empty vertex within
-    n steps, since no edge ever decreases entry sum + length.
+    n steps, since no edge ever decreases entry sum + length.  Each is the
+    subset {s_1 + ... + s_i + i - 1 : i = 1..len(s)} of range(n), read back.
     """
     if n < 1:
         raise ValueError("n must be positive")
     found = [
-        Comp(entries)
+        Comp._trusted(tuple(b - a - 1 for a, b in zip((-1,) + cut, cut)))
         for length in range(n + 1)
-        for entries in _compositions(length, n - length)
+        for cut in combinations(range(n), length)
     ]
     return tuple(sorted(found, key=Comp.sort_key))
 
 
-def path_sum_enum(s: Comp, n: int, rule: WeightRule) -> QPoly:
-    """Sum of path weights over all length-n paths from the empty vertex to s.
+def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
+    """Path sums to every endpoint of a length-n path from the empty vertex.
 
-    Explicit depth-first enumeration of every length-n path, kept as the
-    independent oracle for the dynamic program.  Exponential; intended for
-    n up to about 8.
+    One depth-first walk on an explicit stack enumerates every path, the
+    independent oracle for the dynamic program.  Edge weights are powers of
+    q, so it counts paths per endpoint and exponent.  Exponential.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    total = ZERO
-
-    def walk(vertex: Comp, remaining: int, weight: QPoly) -> None:
-        nonlocal total
+    paths: dict[tuple[Comp, int], int] = {}
+    stack = [(EMPTY, n, 0)]
+    while stack:
+        vertex, remaining, e = stack.pop()
         if remaining == 0:
-            if vertex == s:
-                total = total + weight
-            return
+            paths[vertex, e] = paths.get((vertex, e), 0) + 1
+            continue
         for edge in successors(vertex, rule):
-            walk(edge.target, remaining - 1, weight * edge.weight)
+            stack.append((edge.target, remaining - 1, e + edge.weight.degree))
+    totals: dict[Comp, QPoly] = {}
+    for (vertex, e), count in paths.items():
+        totals[vertex] = totals.get(vertex, ZERO) + QPoly.monomial(e, count)
+    return totals
 
-    walk(EMPTY, n, ONE)
-    return total
+
+def path_sum_enum(s: Comp, n: int, rule: WeightRule) -> QPoly:
+    """Sum of path weights over all length-n paths from the empty vertex to s."""
+    return _path_sums_enum(n, rule).get(s, ZERO)
 
 
 @cache

@@ -222,6 +222,20 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert "usage:" in err
 
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("curvature", []),
+            ("cq", ["--s", "0"]),
+            ("binom", ["--k", "0"]),
+        ],
+    )
+    def test_root_mode_n1_rejected_before_any_work(self, capsys, command, argv):
+        # no rule arbitration, no path sum: the one error line and nothing else
+        code, out, err = invoke(capsys, command, "--n", "1", *argv, "--mode", "root")
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} --mode root needs --n >= 2\n"
+
 
 class TestLargeBinomial:
     def test_binom_past_the_recursion_limit(self, capsys):

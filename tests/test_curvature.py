@@ -1,6 +1,7 @@
 """Tests for the curvature expansions and the cross-validation suite."""
 
 import copy
+import time
 from itertools import product
 from math import comb, factorial
 
@@ -229,6 +230,15 @@ class TestInfinitesimal:
         prefix = infinitesimal_coefficients(n, PREFIX).coeffs
         assert literal == tuple(c.shift(m * (m - 1) // 2) for m, c in enumerate(prefix))
 
+    def test_n100_in_one_walk(self):
+        rule = resolve_default_rule()
+        start = time.perf_counter()
+        coeffs = infinitesimal_coefficients(100, rule).coeffs
+        elapsed = time.perf_counter() - start
+        assert [c.evaluate(1) for c in coeffs] == [comb(100, m + 1) for m in range(100)]
+        assert coeffs[-1] == ONE
+        assert elapsed < 3, f"infinitesimal_coefficients(100) took {elapsed:.2f} s"
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reduction_at_root(self, n):
         reduced = infinitesimal_coefficients(n, PREFIX).reduced(CycloModulus.of(n))
@@ -237,19 +247,33 @@ class TestInfinitesimal:
         assert reduced.coeffs[n - 1] == ONE
 
 
-class TestStaySum:
-    @given(
-        st.integers(0, 6),
-        st.lists(st.integers(0, 5), max_size=4),
+# a chain of 1..5 positions: stay exponents, and one move exponent per position but the last
+spines = st.lists(st.integers(0, 5), min_size=1, max_size=5).flatmap(
+    lambda stay: st.tuples(
+        st.just(stay),
+        st.lists(st.integers(0, 5), min_size=len(stay) - 1, max_size=len(stay) - 1),
     )
-    def test_matches_brute_force(self, stays, exponents):
-        expected = ZERO
-        for counts in product(range(stays + 1), repeat=len(exponents)):
-            if sum(counts) == stays:
-                expected = expected + QPoly.monomial(
-                    sum(c * e for c, e in zip(counts, exponents))
-                )
-        assert curvature._stay_sum(stays, exponents) == expected
+)
+
+
+class TestSpineDP:
+    @given(st.integers(0, 7), spines)
+    def test_matches_brute_force(self, steps, spine):
+        stay, move = spine
+        expected = [ZERO] * len(stay)
+        for moving in product((False, True), repeat=steps):
+            p, e = 0, 0
+            for up in moving:
+                if not up:
+                    e += stay[p]
+                elif p == len(stay) - 1:
+                    break  # no move past the last position
+                else:
+                    e += move[p]
+                    p += 1
+            else:
+                expected[p] = expected[p] + QPoly.monomial(e)
+        assert curvature._spine_dp(steps, stay, move) == expected
 
 
 class TestCompositionSumReadings:
@@ -482,6 +506,32 @@ class TestArbitrationAndVerify:
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes"}
+
+    def test_wrong_enumeration_reports_first_vertex(self, monkeypatch):
+        # dp-vs-enum compares whole tables and names the canonically first
+        # vertex where they differ
+        real = curvature._path_sums_enum
+
+        def wrong(n, rule):
+            table = real(n, rule)
+            for s in (Comp((0, 1)), Comp((1,))):
+                table[s] = table.get(s, ZERO) + ONE
+            return table
+
+        monkeypatch.setattr(curvature, "_path_sums_enum", wrong)
+        report = verify_suite(4)
+        assert not report.passed
+        rows = [c for c in report.checks if c.check == "dp-vs-enum"]
+        assert [c.status for c in rows] == ["fail"] * 3
+        bad = rows[-1].counterexample
+        dp = forward_tables(4, LITERAL)[4][Comp((1,))]
+        assert bad == {
+            "n": 4,
+            "rule": "literal",
+            "s": [1],
+            "dp": list(dp.coeffs),
+            "enum": list((dp + ONE).coeffs),
+        }
 
     def test_four_step_listing_mismatches(self):
         mismatches = {m.s: m for m in four_step_listing_mismatches()}

@@ -1,5 +1,6 @@
 """Tests for exact q-polynomial arithmetic and cyclotomic reduction."""
 
+import operator
 import sys
 from math import factorial, gcd
 
@@ -53,6 +54,12 @@ class TestQPoly:
         assert QPoly.monomial(0, 5).coeffs == (5,)
         with pytest.raises(ValueError):
             QPoly.monomial(-1)
+
+    @pytest.mark.parametrize("left, right", [(ONE, "x"), ("x", ONE), (ONE, 1.5), (1.5, ONE)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_non_polynomial_operand_raises_type_error(self, op, left, right):
+        with pytest.raises(TypeError):
+            op(left, right)
 
     def test_arithmetic_basics(self):
         p = QPoly((1, 1))
@@ -200,6 +207,12 @@ class TestCyclotomic:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_modulus_kills_q_number_n(self, n):
         assert reduce(q_number(n), CycloModulus.of(n)) == ZERO
+
+    def test_builds_divisors_without_calling_itself(self):
+        # every divisor's Phi is built locally, so only the call itself is cached
+        cyclotomic.cache_clear()
+        assert cyclotomic(720).degree == totient(720)
+        assert cyclotomic.cache_info().currsize == 1
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the free operator algebra and its normal ordering."""
 
+import sys
 from math import factorial
 
 import pytest
@@ -128,6 +129,19 @@ class TestDeformedPower:
         deformed_power.cache_clear()
         deformed_power(12)
         assert _word_rewrite.cache_info().currsize == 0
+
+    def test_word_rewrite_past_the_recursion_limit(self):
+        _word_rewrite.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            terms = _word_rewrite((0,) * 300)
+        finally:
+            sys.setrecursionlimit(limit)
+            _word_rewrite.cache_clear()
+        assert len(terms) == 301
+        assert terms[5] == ((0,) * 5 + (1,) + (0,) * 294, 0, 5)
+        assert terms[-1] == ((0,) * 300, 1, 300)
 
 
 class TestPacking:
