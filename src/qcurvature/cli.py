@@ -23,7 +23,6 @@ from .curvature import (
     verify_suite,
 )
 from .cyclo import CycloModulus, QPoly, coeffs_list, q_binomial
-from .freealg import ElementPoly
 from .paths import Comp, WeightRule, path_sum_dp, path_sum_enum
 
 
@@ -91,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_rule(args: argparse.Namespace) -> WeightRule | None:
-    """Map the --rule flag to a WeightRule; None means arbitrated default."""
+def _resolve_rule(args: argparse.Namespace) -> WeightRule:
+    """Map the --rule flag to a WeightRule; ``default`` runs the arbitration."""
     if args.rule == "default":
         rule = resolve_default_rule()
         print(f"rule: {rule.value} (oracle-arbitrated default)", file=sys.stderr)
@@ -120,21 +119,6 @@ def _poly_out(value: QPoly, fmt: str, payload: dict) -> None:
         _emit_json(payload)
 
 
-def _element_latex(element: ElementPoly) -> str:
-    if element.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in element.items():
-        cstr = coeff.latex()
-        if cstr == "1":
-            parts.append(mono.latex())
-            continue
-        if "+" in cstr or "-" in cstr:
-            cstr = f"({cstr})"
-        parts.append(f"{cstr}{mono.latex()}" if len(mono) else cstr)
-    return " + ".join(parts)
-
-
 def _run_curvature(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
@@ -148,7 +132,7 @@ def _run_curvature(args: argparse.Namespace) -> int:
         _emit_json(expansion.to_json_dict())
     elif args.format == "latex":
         for k in range(top, -1, -1):
-            print(f"c_{{{k}}} = {_element_latex(expansion.coefficient(k))}")
+            print(f"c_{{{k}}} = {expansion.coefficient(k).latex()}")
     else:
         for k in range(top, -1, -1):
             print(f"c[{k}] = {expansion.coefficient(k)}")

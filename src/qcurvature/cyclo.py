@@ -172,48 +172,39 @@ class QPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+    def _render(self, gap: str, times: str, power: str) -> str:
+        """The rendering loop shared by every format.
+
+        ``gap`` surrounds each sign after the first term, ``times`` joins a
+        coefficient to its power of q, and ``power % i`` renders ``q^i`` for
+        i >= 2.  The first term carries only a minus sign.
+        """
+        plus, minus = f"{gap}+{gap}", f"{gap}-{gap}"
         parts: list[str] = []
         for i, c in enumerate(self.coeffs):
-            if c == 0:
+            if not c:
                 continue
-            mag = abs(c)
+            if c < 0:
+                sign = minus if parts else "-"
+                c = -c
+            else:
+                sign = plus if parts else ""
             if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "q" if i == 1 else f"q^{i}"
+                parts.append(f"{sign}{c}")
             else:
-                body = f"{mag}*q" if i == 1 else f"{mag}*q^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                q = "q" if i == 1 else power % i
+                parts.append(f"{sign}{q}" if c == 1 else f"{sign}{c}{times}{q}")
+        return "".join(parts) or "0"
+
+    def __str__(self) -> str:
+        return self._render(" ", "*", "q^%d")
 
     def compact(self) -> str:
         """Whitespace-free rendering, e.g. ``1+q`` (for embedding in terms)."""
-        return str(self).replace(" ", "")
+        return self._render("", "*", "q^%d")
 
     def latex(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = "q" if i == 1 else f"q^{{{i}}}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if c > 0 else f"-{body}")
-        return "".join(parts)
+        return self._render("", "", "q^{%d}")
 
     def __repr__(self) -> str:
         return f"QPoly('{self}')"

@@ -140,30 +140,30 @@ class OperatorPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(_term_text(t) for t in self.terms())
+        return " + ".join(_term_text(t.coeff, t.mono, t.dpow) for t in self.terms()) or "0"
 
     def __repr__(self) -> str:
         return f"OperatorPoly('{self}')"
 
 
-def _term_text(term: Term) -> str:
-    body = []
-    if len(term.mono):
-        body.append(term.mono.text())
-    if term.dpow == 1:
-        body.append("d")
-    elif term.dpow > 1:
-        body.append(f"d^{term.dpow}")
-    cstr = term.coeff.compact()
-    if not body:
-        return cstr
-    if cstr != "1":
-        if "+" in cstr or "-" in cstr:
-            cstr = f"({cstr})"
-        body.insert(0, cstr)
-    return "*".join(body)
+def _term(coeff: str, factors: list[str], times: str) -> str:
+    """One summand: the rendered ``coeff`` in front of ``factors``, joined by ``times``.
+
+    A compound coefficient goes in parentheses and a coefficient of 1 is
+    dropped; with no factors the term is the coefficient alone.
+    """
+    if not factors:
+        return coeff
+    if coeff != "1":
+        factors = [f"({coeff})" if "+" in coeff or "-" in coeff else coeff, *factors]
+    return times.join(factors)
+
+
+def _term_text(coeff: QPoly, mono: Comp, dpow: int) -> str:
+    factors = [mono.text()] if len(mono) else []
+    if dpow:
+        factors.append("d" if dpow == 1 else f"d^{dpow}")
+    return _term(coeff.compact(), factors, "*")
 
 
 @cache
@@ -285,9 +285,18 @@ class ElementPoly:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(_term_text(Term(coeff, mono, 0)) for mono, coeff in self.items())
+        return " + ".join(_term_text(coeff, mono, 0) for mono, coeff in self.items()) or "0"
+
+    def latex(self) -> str:
+        """The element in LaTeX, summands in canonical word order.
+
+        >>> ElementPoly({Comp((1,)): QPoly((1, 1)), Comp((0, 0)): ONE}).latex()
+        '(1+q)d_M(a) + a^{2}'
+        """
+        return " + ".join(
+            _term(coeff.latex(), [mono.latex()] if len(mono) else [], "")
+            for mono, coeff in self.items()
+        ) or "0"
 
     def __repr__(self) -> str:
         return f"ElementPoly('{self}')"

@@ -482,6 +482,23 @@ class TestArbitrationAndVerify:
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes", "binomial-formula"}
 
+    def test_wrong_generic_production_fails_verify_at_n6(self, monkeypatch):
+        # binomial-formula is the only check that reads the generic
+        # production route, and it runs at every n
+        real = curvature.power_formula_coefficients
+
+        def wrong(n):
+            c = real(n)
+            if n == 6:
+                c[0] = c[0] + ElementPoly.from_word(*([0] * 6))
+            return c
+
+        monkeypatch.setattr(curvature, "power_formula_coefficients", wrong)
+        report = verify_suite(6)
+        assert not report.passed
+        failing = {(c.check, c.n) for c in report.checks if not c.passed() and c.rule != "literal"}
+        assert failing == {("binomial-formula", 6)}
+
     def test_wrong_recursion_fails_verify(self, monkeypatch):
         # maurer-cartan compares the recursion with the path model; no
         # production route reads the recursion

@@ -93,10 +93,19 @@ class TestQPoly:
         assert str(QPoly((1, 0, -3))) == "1 - 3*q^2"
         assert QPoly((1, 1)).compact() == "1+q"
 
+    @given(st.lists(st.integers(-12, 12), max_size=12))
+    def test_compact_is_str_without_spaces(self, coeffs):
+        # lists of this range hold negatives and inner zeros
+        p = QPoly(tuple(coeffs))
+        assert p.compact() == str(p).replace(" ", "")
+
     def test_latex(self):
         assert QPoly((1, 1, 2)).latex() == "1+q+2q^{2}"
         assert QPoly((0, -1)).latex() == "-q"
         assert ZERO.latex() == "0"
+        assert QPoly((0, 2)).latex() == "2q"
+        assert QPoly((0, 0, 0, -1, 1)).latex() == "-q^{3}+q^{4}"
+        assert QPoly.monomial(10).latex() == "q^{10}"
 
     def test_json_coeffs(self):
         assert coeffs_list(QPoly((1, 1))) == [1, 1]

@@ -269,3 +269,18 @@ class TestRendering:
         assert str(OperatorPoly()) == "0"
         assert str(deformed_power(2)) == "d^2 + (1+q)*a*d + d(a) + a^2"
         assert str(op(((0,), 0, q))) == "q*a"
+
+    def test_element_latex(self):
+        assert ElementPoly().latex() == "0"
+        assert element(((0,), 1)).latex() == "a"
+        assert element(((0,), QPoly((1, 1)))).latex() == "(1+q)a"
+        assert element(((0,), -1)).latex() == "(-1)a"
+        # summands in canonical word order: by length, then colex
+        two = element(((0, 0), 1), ((2,), q2))
+        assert two.latex() == "q^{2}d_M^{2}(a) + a^{2}"
+
+    def test_element_latex_follows_the_text_rule(self):
+        # the empty word shows its coefficient alone, unparenthesised
+        p = element(((), QPoly((1, 1))), ((1,), -2))
+        assert str(p) == "1+q + (-2)*d(a)"
+        assert p.latex() == "1+q + (-2)d_M(a)"
