@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .cyclo import (
     ONE,
@@ -488,17 +489,22 @@ def infinitesimal_composition_sum(
 ARBITRATION_N_MAX = 6
 
 
-def _arbitrate() -> dict[WeightRule, dict | None]:
-    """Each rule's first oracle-equivalence counterexample over
-    n = 2..ARBITRATION_N_MAX, or None where it reproduces the operator."""
+def _oracle_rows(rule: WeightRule, n_max: int) -> Iterator[CheckResult]:
+    """The oracle-equivalence rows of ``rule`` for n = 2..n_max, built as they are read."""
+    return (_check_oracle_equivalence(n, rule) for n in range(2, n_max + 1))
+
+
+def _arbitrate(rows: dict[WeightRule, Iterable[CheckResult]]) -> dict[WeightRule, dict | None]:
+    """Each rule's first oracle-equivalence counterexample with
+    n <= ARBITRATION_N_MAX, or None where it reproduces the operator.
+
+    ``rows`` holds each rule's oracle-equivalence rows in ascending n; they
+    are read only up to the rule's first failure.
+    """
     first_failure = {}
-    for rule in (WeightRule.LITERAL, WeightRule.PREFIX):
-        first_failure[rule] = None
-        for n in range(2, ARBITRATION_N_MAX + 1):
-            result = _check_oracle_equivalence(n, rule)
-            if not result.passed():
-                first_failure[rule] = result.counterexample
-                break
+    for rule, rule_rows in rows.items():
+        failures = (row for row in rule_rows if row.n <= ARBITRATION_N_MAX and not row.passed())
+        first_failure[rule] = next((row.counterexample for row in failures), None)
     return first_failure
 
 
@@ -509,7 +515,9 @@ def resolve_default_rule() -> WeightRule:
     Exactly one of the two conventions reproduces the direct operator
     expansion for n = 2..ARBITRATION_N_MAX; that one is the shipped default.
     """
-    passing = [rule for rule, bad in _arbitrate().items() if bad is None]
+    # lazy rows, so each rule stops at its first failure
+    first_failure = _arbitrate({rule: _oracle_rows(rule, ARBITRATION_N_MAX) for rule in WeightRule})
+    passing = [rule for rule, bad in first_failure.items() if bad is None]
     if len(passing) != 1:
         raise RuntimeError(f"rule arbitration did not single out one rule: {passing}")
     return passing[0]
@@ -630,63 +638,70 @@ class VerifyReport:
         return lines
 
 
-def _first_operator_difference(
-    n: int, left: OperatorPoly, right: OperatorPoly
-) -> dict | None:
-    keys = left._terms.keys() | right._terms.keys()
-    for mono, dpow in sorted(keys, key=lambda k: (-k[1], k[0].sort_key())):
-        a = left.coefficient(mono, dpow)
-        b = right.coefficient(mono, dpow)
+def _row(check: str, n: int, rule: WeightRule | None, counterexample: dict | None) -> CheckResult:
+    """A check's result: it passes exactly when there is no counterexample."""
+    status = "pass" if counterexample is None else "fail"
+    return CheckResult(check, n, status, None if rule is None else rule.value, counterexample)
+
+
+def _first_difference(left: Mapping, right: Mapping, order: Callable) -> tuple | None:
+    """The first key in ``order`` where two maps differ, with both values.
+
+    A key missing from one map reads ZERO there; None when the maps agree.
+    """
+    if left == right:
+        return None
+    for key in sorted(left.keys() | right.keys(), key=order):
+        a, b = left.get(key, ZERO), right.get(key, ZERO)
         if a != b:
-            return {
-                "n": n,
-                "s": list(mono.entries),
-                "dpow": dpow,
-                "path_value": coeffs_list(a),
-                "oracle_value": coeffs_list(b),
-            }
+            return key, a, b
     return None
 
 
+def _operator_difference(
+    n: int,
+    left: OperatorPoly,
+    right: OperatorPoly,
+    names: tuple[str, str] = ("path_value", "oracle_value"),
+) -> dict | None:
+    """The canonically first term (d-power descending, then word order)
+    where two operators differ, each value named by its route."""
+    found = _first_difference(left._terms, right._terms, lambda key: (-key[1], key[0].sort_key()))
+    if found is None:
+        return None
+    (mono, dpow), a, b = found
+    values = {names[0]: coeffs_list(a), names[1]: coeffs_list(b)}
+    return {"n": n, "s": list(mono.entries), "dpow": dpow, **values}
+
+
 def _check_oracle_equivalence(n: int, rule: WeightRule) -> CheckResult:
-    left = path_expansion(n, rule).as_operator()
-    right = deformed_power(n)
-    if left == right:
-        return CheckResult("oracle-equivalence", n, "pass", rule.value)
-    difference = _first_operator_difference(n, left, right)
-    return CheckResult("oracle-equivalence", n, "fail", rule.value, difference)
+    difference = _operator_difference(n, path_expansion(n, rule).as_operator(), deformed_power(n))
+    return _row("oracle-equivalence", n, rule, difference)
 
 
-def _check_maurer_cartan(n: int, rule: WeightRule) -> CheckResult:
-    expansion = path_root_expansion(n, rule)
-    modulus = CycloModulus.of(n)
-    for k in range(1, n):
-        coeff = expansion.coefficient(k)
-        if not coeff.is_zero():
-            mono, value = coeff.items()[0]
-            bad = {"n": n, "k": k, "s": list(mono.entries), "value": coeffs_list(value)}
-            return CheckResult("maurer-cartan", n, "fail", rule.value, bad)
-    expected = maurer_cartan_element(n).reduce_mod(modulus)
-    if expansion.coefficient(0) != expected:
-        diff = _first_operator_difference(
-            n, expansion.coefficient(0).to_operator(), expected.to_operator()
-        )
-        return CheckResult("maurer-cartan", n, "fail", rule.value, diff)
-    return CheckResult("maurer-cartan", n, "pass", rule.value)
+def _check_maurer_cartan(path_root: CurvatureExpansion) -> CheckResult:
+    """The path model reduced at the root against M(n) * d^0 reduced there.
+
+    A stray coefficient of d^k, k >= 1, is a difference at dpow = k.
+    """
+    n = path_root.n
+    expected = maurer_cartan_element(n).reduce_mod(CycloModulus.of(n)).to_operator()
+    difference = _operator_difference(n, path_root.as_operator(), expected)
+    return _row("maurer-cartan", n, path_root.rule, difference)
 
 
 def _check_binomial_formula(n: int) -> CheckResult:
-    left, right = binomial_expansion(n), deformed_power(n)
-    if left == right:
-        return CheckResult("binomial-formula", n, "pass")
-    difference = _first_operator_difference(n, left, right)
-    return CheckResult("binomial-formula", n, "fail", None, difference)
+    difference = _operator_difference(
+        n, binomial_expansion(n), deformed_power(n), ("production_value", "oracle_value")
+    )
+    return _row("binomial-formula", n, None, difference)
 
 
 def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
     modulus = CycloModulus.of(n)
     path_side = infinitesimal_coefficients(n, rule)
     operator_side = infinitesimal_from_operator(n)
+    bad = None
     for m in range(n):
         expected = q_binomial(n, m + 1)
         entry = path_side.coeffs[m]
@@ -698,36 +713,38 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
                 "operator_value": coeffs_list(operator_side.coeffs[m]),
                 "binomial_value": coeffs_list(expected),
             }
-            return CheckResult("infinitesimal", n, "fail", rule.value, bad)
+            break
         reduced = modulus.reduce(entry)
-        wanted = ZERO if m <= n - 2 else ONE
-        if reduced != wanted:
+        if reduced != (ZERO if m <= n - 2 else ONE):
             bad = {"n": n, "m": m, "reduced": coeffs_list(reduced)}
-            return CheckResult("infinitesimal", n, "fail", rule.value, bad)
-    return CheckResult("infinitesimal", n, "pass", rule.value)
+            break
+    return _row("infinitesimal", n, rule, bad)
 
 
 def _check_dp_enum(n: int) -> CheckResult:
-    for rule in (WeightRule.LITERAL, WeightRule.PREFIX):
+    for rule in WeightRule:
         dp, enum = forward_tables(n, rule)[n], _path_sums_enum(n, rule)
-        for s in sorted(dp.keys() | enum.keys(), key=Comp.sort_key):
-            if dp.get(s, ZERO) != enum.get(s, ZERO):
-                bad = {
-                    "n": n,
-                    "rule": rule.value,
-                    "s": list(s.entries),
-                    "dp": coeffs_list(dp.get(s, ZERO)),
-                    "enum": coeffs_list(enum.get(s, ZERO)),
-                }
-                return CheckResult("dp-vs-enum", n, "fail", None, bad)
-    return CheckResult("dp-vs-enum", n, "pass")
+        found = _first_difference(dp, enum, Comp.sort_key)
+        if found is not None:
+            s, a, b = found
+            bad = {
+                "n": n,
+                "rule": rule.value,
+                "s": list(s.entries),
+                "dp": coeffs_list(a),
+                "enum": coeffs_list(b),
+            }
+            return _row("dp-vs-enum", n, None, bad)
+    return _row("dp-vs-enum", n, None, None)
 
 
-def _check_reduction_commutes(n: int, rule: WeightRule) -> CheckResult:
+def _check_reduction_commutes(path_root: CurvatureExpansion) -> CheckResult:
     """The production root expansion against the path model reduced at the root."""
-    direct = root_of_unity_expansion(n, rule)
-    status = "pass" if direct == path_root_expansion(n, rule) else "fail"
-    return CheckResult("reduction-commutes", n, status, rule.value)
+    n, rule = path_root.n, path_root.rule
+    production = root_of_unity_expansion(n, rule).as_operator()
+    names = ("production_value", "path_value")
+    difference = _operator_difference(n, production, path_root.as_operator(), names)
+    return _row("reduction-commutes", n, rule, difference)
 
 
 def four_step_listing_mismatches() -> tuple[ListingMismatch, ...]:
@@ -750,23 +767,25 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
 
     dp-vs-enum (exponential path enumeration) is capped at n = 5; every
     other check runs at each n from 2 to ``n_max``.  Failures are
-    recorded as data, never raised.  When ``rule`` is given the
-    rule-dependent checks run under it (and gate the overall result);
-    otherwise the oracle-arbitrated default is used.
+    recorded as data, never raised: every failing check compares two
+    routes and names their canonically first difference as its
+    counterexample.  maurer-cartan compares the whole reduced path
+    expansion with M(n) * d^0, so a stray power d^k is reported as
+    ``dpow = k``.  When ``rule`` is given the rule-dependent checks run
+    under it (and gate the overall result); otherwise the
+    oracle-arbitrated default is used.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     requested = rule.value if rule is not None else "default"
 
-    checks: list[CheckResult] = []
-    for candidate in (WeightRule.LITERAL, WeightRule.PREFIX):
-        checks.extend(
-            _check_oracle_equivalence(n, candidate) for n in range(2, n_max + 1)
-        )
+    # each rule's oracle-equivalence rows are built once, far enough for the
+    # report and for the arbitration, which always reads its full fixed
+    # range, so a shallow report (small n_max) still selects the same rule
+    oracle_rows = {r: list(_oracle_rows(r, max(n_max, ARBITRATION_N_MAX))) for r in WeightRule}
+    checks = [row for rows in oracle_rows.values() for row in rows if row.n <= n_max]
 
-    # arbitration always runs over its full fixed range, so a shallow
-    # report (small n_max) still selects the same default rule
-    first_failure = _arbitrate()
+    first_failure = _arbitrate(oracle_rows)
     passing = [r for r, bad in first_failure.items() if bad is None]
     failing = [r for r in first_failure if r not in passing]
     arbitration = {
@@ -774,31 +793,21 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
         "failing": failing[0].value if len(failing) == 1 else [r.value for r in failing],
         "counterexample": first_failure[failing[0]] if len(failing) == 1 else None,
     }
-    checks.append(
-        CheckResult(
-            "weight-rule-arbitration",
-            ARBITRATION_N_MAX,
-            "pass" if len(passing) == 1 else "fail",
-            None,
-            None if len(passing) == 1 else arbitration,
-        )
-    )
+    unsettled = None if len(passing) == 1 else arbitration
+    checks.append(_row("weight-rule-arbitration", ARBITRATION_N_MAX, None, unsettled))
 
     selected = rule if rule is not None else (passing[0] if len(passing) == 1 else WeightRule.PREFIX)
 
-    for n in range(2, n_max + 1):
-        checks.append(_check_maurer_cartan(n, selected))
-    for n in range(2, n_max + 1):
-        checks.append(_check_binomial_formula(n))
-    for n in range(2, n_max + 1):
-        checks.append(_check_infinitesimal(n, selected))
-    for n in range(2, min(n_max, 5) + 1):
-        checks.append(_check_dp_enum(n))
+    ns = range(2, n_max + 1)
+    path_roots = [path_root_expansion(n, selected) for n in ns]
+    checks.extend(_check_maurer_cartan(path_root) for path_root in path_roots)
+    checks.extend(_check_binomial_formula(n) for n in ns)
+    checks.extend(_check_infinitesimal(n, selected) for n in ns)
+    checks.extend(_check_dp_enum(n) for n in range(2, min(n_max, 5) + 1))
     # the power formula covers only the arbitrated rule: under any other the
     # root route is the path model itself, so the comparison could not fail
     if passing == [selected]:
-        for n in range(2, n_max + 1):
-            checks.append(_check_reduction_commutes(n, selected))
+        checks.extend(_check_reduction_commutes(path_root) for path_root in path_roots)
 
     mismatches = four_step_listing_mismatches()
     three_step = {
@@ -807,10 +816,7 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
         "note": THREE_STEP_DISPLAY_NOTE,
     }
 
-    gating = [
-        c for c in checks if c.rule is None or c.rule == selected.value
-    ]
-    passed = all(c.passed() for c in gating)
+    passed = all(c.passed() for c in checks if c.rule is None or c.rule == selected.value)
 
     return VerifyReport(
         n_max=n_max,

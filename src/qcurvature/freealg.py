@@ -89,9 +89,6 @@ class OperatorPoly:
     def coefficient(self, mono: Comp, dpow: int) -> QPoly:
         return self._terms.get((mono, dpow), ZERO)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
@@ -99,12 +96,6 @@ class OperatorPoly:
         for key, coeff in other._terms.items():
             acc[key] = acc.get(key, ZERO) + coeff
         return OperatorPoly(acc)
-
-    def __neg__(self) -> OperatorPoly:
-        return OperatorPoly({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: OperatorPoly) -> OperatorPoly:
-        return self + (-other)
 
     def scaled(self, factor: QPoly | int) -> OperatorPoly:
         if isinstance(factor, int):
@@ -256,9 +247,6 @@ class ElementPoly:
         for mono, coeff in other._terms.items():
             acc[mono] = acc.get(mono, ZERO) + coeff
         return ElementPoly(acc)
-
-    def __sub__(self, other: ElementPoly) -> ElementPoly:
-        return self + other.scaled(-1)
 
     def scaled(self, factor: QPoly | int) -> ElementPoly:
         if isinstance(factor, int):

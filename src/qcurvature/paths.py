@@ -270,7 +270,8 @@ def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]
         nxt: dict[Comp, QPoly] = {}
         for vertex, value in steps[-1].items():
             for edge in successors(vertex, rule):
-                nxt[edge.target] = nxt.get(edge.target, ZERO) + value * edge.weight
+                # every weight is q^e with coefficient 1: multiplying is a shift
+                nxt[edge.target] = nxt.get(edge.target, ZERO) + value.shift(edge.weight.degree)
         steps.append(nxt)
     return tuple(MappingProxyType(step) for step in steps)
 

@@ -524,6 +524,116 @@ class TestArbitrationAndVerify:
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes"}
 
+    def test_failing_reduction_commutes_names_first_difference(self, monkeypatch):
+        real = curvature.root_of_unity_expansion
+
+        def wrong(n, rule=None):
+            right = real(n, rule)
+            return CurvatureExpansion(n, right.mode, right.rule, {0: right.coefficient(0).scaled(2)})
+
+        monkeypatch.setattr(curvature, "root_of_unity_expansion", wrong)
+        rows = [c for c in verify_suite(3).checks if c.check == "reduction-commutes"]
+        assert [c.status for c in rows] == ["fail", "fail"]
+        # the canonically first word of M(2) reduced at -1 is d(a), coefficient 1
+        assert rows[0].counterexample == {
+            "n": 2,
+            "s": [1],
+            "dpow": 0,
+            "production_value": [2],
+            "path_value": [1],
+        }
+
+    def test_failing_binomial_formula_names_the_production_value(self, monkeypatch):
+        real = curvature.power_formula_coefficients
+
+        def wrong(n):
+            c = real(n)
+            c[0] = c[0] + ElementPoly.from_word(*([0] * n))
+            return c
+
+        monkeypatch.setattr(curvature, "power_formula_coefficients", wrong)
+        [row] = [c for c in verify_suite(4).checks if c.check == "binomial-formula" and c.n == 4]
+        assert row.counterexample == {
+            "n": 4,
+            "s": [0, 0, 0, 0],
+            "dpow": 0,
+            "production_value": [2],
+            "oracle_value": [1],
+        }
+
+    def test_stray_power_fails_maurer_cartan_at_its_dpow(self, monkeypatch):
+        # maurer-cartan compares whole operators, so a coefficient of d^2
+        # that should have vanished at the root is the first difference
+        real = curvature.path_root_expansion
+
+        def stray(n, rule=None):
+            right = real(n, rule)
+            if n != 4:
+                return right
+            return CurvatureExpansion(n, right.mode, right.rule, {**right.c, 2: ElementPoly.from_word(0, 0)})
+
+        monkeypatch.setattr(curvature, "path_root_expansion", stray)
+        report = verify_suite(4)
+        failing = {(c.check, c.n): c.counterexample for c in report.checks if not c.passed() and c.rule != "literal"}
+        assert set(failing) == {("maurer-cartan", 4), ("reduction-commutes", 4)}
+        assert failing["maurer-cartan", 4] == {
+            "n": 4,
+            "s": [0, 0],
+            "dpow": 2,
+            "path_value": [1],
+            "oracle_value": [],
+        }
+
+    def test_warm_verify_checks_each_oracle_row_once(self, monkeypatch):
+        # arbitration reads the rows the report lists instead of recomputing them
+        resolve_default_rule()
+        calls = []
+        real = curvature._check_oracle_equivalence
+
+        def counted(n, rule):
+            calls.append((n, rule))
+            return real(n, rule)
+
+        monkeypatch.setattr(curvature, "_check_oracle_equivalence", counted)
+        assert verify_suite(8).passed
+        assert sorted(calls) == sorted((n, rule) for n in range(2, 9) for rule in WeightRule)
+
+    def test_cold_arbitration_stops_each_rule_at_its_first_failure(self, monkeypatch):
+        calls = []
+        real = curvature._check_oracle_equivalence
+
+        def counted(n, rule):
+            calls.append((n, rule))
+            return real(n, rule)
+
+        monkeypatch.setattr(curvature, "_check_oracle_equivalence", counted)
+        resolve_default_rule.cache_clear()
+        try:
+            assert resolve_default_rule() is PREFIX
+        finally:
+            resolve_default_rule.cache_clear()
+        assert [n for n, rule in calls if rule is LITERAL] == [2, 3]
+        assert [n for n, rule in calls if rule is PREFIX] == [2, 3, 4, 5, 6]
+
+    def test_verify_builds_each_path_root_once(self, monkeypatch):
+        # maurer-cartan and reduction-commutes share one path root per n
+        calls = []
+        real = curvature.path_root_expansion
+
+        def counted(n, rule=None):
+            calls.append(n)
+            return real(n, rule)
+
+        monkeypatch.setattr(curvature, "path_root_expansion", counted)
+        assert verify_suite(6).passed
+        assert sorted(calls) == [2, 3, 4, 5, 6]
+
+    def test_first_difference_reads_a_missing_key_as_zero(self):
+        first = curvature._first_difference
+        assert first({1: ONE}, {1: ONE}, order=lambda key: key) is None
+        assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: key) == (1, ONE, ZERO)
+        assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: -key) == (2, ZERO, ONE)
+
     def test_wrong_enumeration_reports_first_vertex(self, monkeypatch):
         # dp-vs-enum compares whole tables and names the canonically first
         # vertex where they differ
