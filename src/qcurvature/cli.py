@@ -3,27 +3,39 @@
 Subcommands: ``curvature`` (full expansion), ``cq`` (one path sum),
 ``binom`` (Gaussian binomial), ``infinitesimal`` (first-order
 coefficients), ``verify`` (cross-validation suite).  Output formats:
-text, latex, json.  Exit codes: 0 success, 1 verification failure,
-2 argument error, 3 unexpected internal error (one line on stderr).
-All output is deterministic.
+text, latex, json; ``curvature`` writes text and LaTeX term by term as it
+computes them.  Exit codes: 0 success, 1 verification failure, 2 argument
+error, 3 unexpected internal error (one line on stderr), 141 stdout closed
+by its reader (nothing on stderr).  All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Iterable, Iterator
 
 from .curvature import (
+    GENERIC,
+    ROOT,
     InfinitesimalCoefficients,
     generic_expansion,
     infinitesimal_coefficients,
+    path_expansion,
+    path_root_expansion,
+    production_terms,
     resolve_default_rule,
     root_of_unity_expansion,
     verify_suite,
 )
 from .cyclo import CycloModulus, QPoly, coeffs_list, q_binomial
-from .paths import Comp, WeightRule, path_sum_dp, path_sum_enum
+from .freealg import _term
+from .paths import LATEX, TEXT, Comp, WeightRule, path_sum_dp, path_sum_enum
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _positive_int(text: str) -> int:
@@ -122,21 +134,47 @@ def _poly_out(value: QPoly, fmt: str, payload: dict) -> None:
 def _run_curvature(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
-    if args.mode == "root":
-        expansion = root_of_unity_expansion(args.n, rule)
-        top = args.n - 1
-    else:
-        expansion = generic_expansion(args.n, rule)
-        top = args.n
+    mode = ROOT if args.mode == "root" else GENERIC
     if args.format == "json":
-        _emit_json(expansion.to_json_dict())
-    elif args.format == "latex":
-        for k in range(top, -1, -1):
-            print(f"c_{{{k}}} = {expansion.coefficient(k).latex()}")
+        expand = root_of_unity_expansion if mode == ROOT else generic_expansion
+        _emit_json(expand(args.n, rule).to_json_dict())
+        return 0
+    latex = args.format == "latex"
+    style, present = (LATEX, QPoly.latex) if latex else (TEXT, QPoly.compact)
+    if rule is resolve_default_rule():
+        blocks = production_terms(args.n, mode, style, present)
     else:
-        for k in range(top, -1, -1):
-            print(f"c[{k}] = {expansion.coefficient(k)}")
+        # the power formula covers only the arbitrated rule; the path model serves the others
+        expand = path_root_expansion if mode == ROOT else path_expansion
+        expansion = expand(args.n, rule)
+        top = args.n - 1 if mode == ROOT else args.n
+
+        def terms(k: int) -> Iterator[tuple[str, str]]:
+            for s, c in expansion.coefficient(k).items():
+                yield style.render(s.entries), present(c)
+
+        blocks = ((k, terms(k)) for k in range(top, -1, -1))
+    _write_expansion(blocks, latex)
     return 0
+
+
+def _write_expansion(blocks: Iterable[tuple[int, Iterable[tuple[str, str]]]], latex: bool) -> None:
+    """Write ``c[k] = ...`` (``c_{k} = ...`` in LaTeX) per block, term by term.
+
+    Each block is (k, terms), terms being (word, coefficient) already
+    rendered, in canonical word order; a term is written as the element
+    printers write it (``freealg._term``), and an empty block as ``0``.
+    """
+    head, times = ("c_{{{}}} = ", "") if latex else ("c[{}] = ", "*")
+    write = sys.stdout.write
+    for k, terms in blocks:
+        write(head.format(k))
+        sep = ""
+        for word, coeff in terms:
+            # the empty word ("1") is a bare coefficient
+            write(sep + _term(coeff, [word] if word != "1" else [], times))
+            sep = " + "
+        write("\n" if sep else "0\n")
 
 
 def _run_cq(args: argparse.Namespace) -> int:
@@ -212,10 +250,17 @@ def run(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
+        return code
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except BrokenPipeError:
+        # the reader has gone (as with `| head`): end quietly, as a SIGPIPE
+        # would; stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # exit code 1 is reserved for a failed verification
         detail = " ".join(str(exc).split())
         print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)

@@ -10,7 +10,8 @@ pairwise consistency checks into a verification report.
 Routes.  The power formula is the production route of both modes
 (:func:`generic_expansion`, :func:`root_of_unity_expansion`) under the
 oracle-arbitrated weight rule, with M(k) = D^(k-1) a taken from its closed
-product formula (:func:`_closed_form_packed`).  The recursion defining M(k)
+product formula by one walk in canonical word order (:func:`_closed_form_walk`),
+which the CLI streams through :func:`production_terms`.  The recursion defining M(k)
 (:func:`maurer_cartan_element`), the path model (:func:`path_expansion`,
 :func:`path_root_expansion`) and the operator expansion are oracles; the
 path model also serves an explicitly chosen rule, which the power formula
@@ -20,7 +21,7 @@ does not cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -42,7 +43,14 @@ from .freealg import (
     maurer_cartan_element,
 )
 from .paths import (
-    Comp, WeightRule, _path_sums_enum, enumerate_vertices, forward_tables, stay_count
+    Comp,
+    Entries,
+    WeightRule,
+    WordStyle,
+    _path_sums_enum,
+    enumerate_vertices,
+    forward_tables,
+    stay_count,
 )
 
 GENERIC = "generic"
@@ -211,7 +219,7 @@ def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpa
 # C(P_i + s_i, s_i) <= (P_i + s_i)! / P_i! = (P_{i+1} - 1)! / P_i!, and the
 # product of these telescopes to at most (n-1)!.  Scaled by [N choose n]_q
 # the bound is C(N, n) * (n-1)!.  :func:`_packing_bits` leaves one bit to
-# spare, which root mode needs (see :func:`root_of_unity_expansion`).
+# spare, which root mode needs (see :func:`production_terms`).
 
 
 def _packing_bits(big_n: int, n: int) -> int:
@@ -235,17 +243,24 @@ def _unpack(x: int, bits: int, length: int | None = None) -> list[int]:
     return [(x >> (bits * e)) & mask for e in range(length)]
 
 
-def _closed_form_packed(n: int, bits: int, start: int = 1) -> list[tuple[tuple[int, ...], int]]:
+def _closed_form_walk(
+    n: int, bits: int, start: int = 1, words: type[Entries] | WordStyle = Entries
+) -> Iterator[tuple[object, int]]:
     """Every word of degree n with ``start`` times its closed-form coefficient in M(n).
 
-    Coefficients are packed at ``bits`` bits per power of q; ``start`` is a
-    packed polynomial.  The compositions of n are walked depth-first,
-    carrying the product over the prefix, so each word costs one multiply
-    by a packed Gaussian binomial.  The caller picks ``bits`` large enough
+    Words come in canonical order (:meth:`Comp.sort_key`: by length, then
+    from the last entry backwards), built by ``words`` (see
+    :class:`Entries`); coefficients are packed at ``bits`` bits per power of
+    q, and ``start`` is a packed polynomial.  For each length the walk fixes
+    the last entry first, depth-first.  A suffix of degree D leaves room
+    n - D, so the entry s_i in front of it has P_i + s_i = n - D - 1 and its
+    factor is known from the suffix: extending costs one multiply by a
+    packed Gaussian binomial, and the first entry's factor is 1.  Nothing is
+    collected or sorted.  The caller picks ``bits`` large enough
     (:func:`_packing_bits`).  The word (0, 1, 1) of M(5) has coefficient
     [2]_q * [4]_q:
 
-    >>> packed = dict(_closed_form_packed(5, 8))
+    >>> packed = dict(_closed_form_walk(5, 8))
     >>> _unpack(packed[(0, 1, 1)], 8)
     [1, 2, 2, 2, 1]
     """
@@ -256,39 +271,121 @@ def _closed_form_packed(n: int, bits: int, start: int = 1) -> list[tuple[tuple[i
         binomials.append(
             [1] + [above[j - 1] + (above[j] << (bits * j)) for j in range(1, m)] + [1]
         )
-    words = []
-    stack = [((), 0, start)]  # (prefix, its degree P, packed product over it)
-    while stack:
-        prefix, degree, product = stack.pop()
-        last = n - 1 - degree  # the entry that completes the word
-        for entry in range(last):
-            stack.append(
-                (prefix + (entry,), degree + entry + 1, product * binomials[degree + entry][entry])
-            )
-        words.append((prefix + (last,), product * binomials[n - 1][last]))
-    return words
+    prepend, finish = words.prepend, words.finish
+    for length in range(1, n + 1):
+        # (suffix, entries left to place, room left for them, packed product over the suffix)
+        stack = [(words.empty, length, n, start)]
+        while stack:
+            suffix, left, room, product = stack.pop()
+            if left == 1:
+                yield finish(prepend(room - 1, suffix)), product
+                continue
+            row = binomials[room - 1]
+            # every entry still to place takes at least 1 of the room; pushed
+            # high to low, so the stack hands them back ascending
+            for entry in range(room - left, -1, -1):
+                extended = prepend(entry, suffix)
+                stack.append((extended, left - 1, room - entry - 1, product * row[entry]))
 
 
-def _element(coefficients: dict[tuple[int, ...], QPoly]) -> ElementPoly:
-    return ElementPoly({Comp._trusted(s): c for s, c in coefficients.items()})
+def _distinct(
+    walk: Iterable[tuple[object, int]], decode: Callable[[int], QPoly], present: Callable
+) -> Iterator[tuple[object, object]]:
+    """(word, present(decode(x))) for each (word, x) of ``walk`` that decodes to nonzero.
+
+    Each distinct x is decoded and presented once: words share
+    coefficients (at the root, the 65,536 words of M(17) fold to 20,796
+    distinct ints, and the 524,288 of M(20) to 165,814).
+    """
+    seen: dict[int, object] = {}
+    for word, x in walk:
+        if x not in seen:
+            value = decode(x)
+            seen[x] = present(value) if value else None
+        shown = seen[x]
+        if shown is not None:
+            yield word, shown
+
+
+def production_terms(
+    n: int,
+    mode: str,
+    words: type[Entries] | WordStyle = Entries,
+    present: Callable[[QPoly], object] = lambda value: value,
+) -> Iterator[tuple[int, Iterator[tuple[object, object]]]]:
+    """The production route of ``mode`` under the oracle-arbitrated rule, as a stream.
+
+    Yields (k, terms) for every power d^k from the top down (d^n in generic
+    mode, d^(n-1) at the root).  ``terms`` yields (word, present(coefficient))
+    in canonical word order, with words built by ``words`` and vanished
+    coefficients skipped; read each ``terms`` before the next power.
+
+    Generic mode: c[n] = 1 and c[n-k] = [n choose k]_q * M(k), M(k) from
+    :func:`_closed_form_walk` with the binomial as its packed start.  Root
+    mode: every middle Gaussian binomial vanishes at the root, so only c[0]
+    = M(n) reduced modulo Phi_n survives.  Each word's coefficient is folded
+    modulo q^n - 1 while packed, then divided by Phi_n.
+    """
+    if mode == ROOT:
+        # Adding x >> width onto x & ring adds lane e + n onto lane e, so the
+        # loop folds x modulo q^n - 1, packed.  The folded coefficients sum
+        # to at most (n-1)! < 2^(bits-1), so no lane carries into the next,
+        # and the loop ends at the fold itself, which is below ring.
+        bits = _packing_bits(n, n)
+        width = bits * n
+        ring = (1 << width) - 1
+        modulus = CycloModulus.of(n)
+
+        def fold(x: int) -> int:
+            while x > ring:
+                x = (x & ring) + (x >> width)
+            return x
+
+        def reduce_folded(x: int) -> QPoly:
+            return remainder_of_folded(_unpack(x, bits, n), modulus)
+
+        for k in range(n - 1, 0, -1):
+            yield k, iter(())
+        folded = ((word, fold(x)) for word, x in _closed_form_walk(n, bits, 1, words))
+        yield 0, _distinct(folded, reduce_folded, present)
+        return
+    yield n, iter([(words.finish(words.empty), present(ONE))])
+    for k in range(n - 1, -1, -1):
+        bits = _packing_bits(n, n - k)
+        walk = _closed_form_walk(n - k, bits, _pack(q_binomial(n, n - k), bits), words)
+        yield k, _distinct(walk, partial(_unpacked, bits=bits), present)
+
+
+def _unpacked(x: int, bits: int) -> QPoly:
+    return QPoly._trusted(tuple(_unpack(x, bits)))
+
+
+def _gathered(n: int, mode: str) -> dict[int, ElementPoly]:
+    """:func:`production_terms` as element coefficients, keys ascending, vanished ones dropped."""
+    c = {
+        k: ElementPoly({Comp._trusted(s): value for s, value in terms})
+        for k, terms in production_terms(n, mode)
+    }
+    return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
 
 
 def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
     """Coefficients of the n-th deformed power from the q-binomial power formula.
 
     c[n] = 1 and c[n-k] = (n choose k)_q * M(k) for k = 1..n, with M(k) in
-    its closed form (see :func:`_closed_form_packed`); the binomial is the
-    walk's packed starting value.  Keys ascend.
+    its closed form: :func:`production_terms` in generic mode.  Keys ascend.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    c = {}
-    for k in range(n, 0, -1):
-        bits = _packing_bits(n, k)
-        words = _closed_form_packed(k, bits, _pack(q_binomial(n, k), bits))
-        c[n - k] = _element({s: QPoly._trusted(tuple(_unpack(x, bits))) for s, x in words})
-    c[n] = ElementPoly.from_word()
-    return c
+    return _gathered(n, GENERIC)
+
+
+def root_coefficients(n: int) -> dict[int, ElementPoly]:
+    """c[0] = M(n) reduced modulo the n-th cyclotomic polynomial, dropped when
+    zero: :func:`production_terms` at the root, which takes no rule."""
+    if n < 2:
+        raise ValueError("root-of-unity mode needs n >= 2")
+    return _gathered(n, ROOT)
 
 
 def _power_formula_covers(rule: WeightRule) -> bool:
@@ -313,11 +410,9 @@ def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpans
 def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Expansion at a primitive n-th root of unity: the production route.
 
-    Under the oracle-arbitrated rule every middle Gaussian binomial of the
-    power formula vanishes at the root, so only c[0] = M(n) reduced modulo
-    the n-th cyclotomic polynomial survives (dropped when zero).  Each
-    word's closed-form coefficient is folded modulo q^n - 1 while packed,
-    then divided by Phi_n.  Any other rule goes through the path model,
+    Under the oracle-arbitrated rule this is :func:`root_coefficients`: M(n)
+    reduced modulo the n-th cyclotomic polynomial, as c[0] (dropped when
+    zero).  Any other rule goes through the path model,
     :func:`path_root_expansion`.
     """
     if n < 2:
@@ -325,21 +420,7 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     rule = rule if rule is not None else resolve_default_rule()
     if not _power_formula_covers(rule):
         return path_root_expansion(n, rule)
-    # M(n) is taken in its closed form, packed.  Since 2^(bits*n) = 1 modulo
-    # ring, x % ring is congruent to the fold of x modulo q^n - 1, packed.
-    # The folded coefficients sum to at most (n-1)! < 2^(bits-1), so each is
-    # below 2^bits - 1; the packed fold is then below ring, hence it is the
-    # remainder itself.
-    bits = _packing_bits(n, n)
-    ring = (1 << (bits * n)) - 1
-    modulus = CycloModulus.of(n)
-    reduced = {}
-    for s, x in _closed_form_packed(n, bits):
-        value = remainder_of_folded(_unpack(x % ring, bits, n), modulus)
-        if value:
-            reduced[s] = value
-    c = {0: _element(reduced)} if reduced else {}
-    return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
+    return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=root_coefficients(n))
 
 
 def binomial_expansion(n: int) -> OperatorPoly:
@@ -739,9 +820,13 @@ def _check_dp_enum(n: int) -> CheckResult:
 
 
 def _check_reduction_commutes(path_root: CurvatureExpansion) -> CheckResult:
-    """The production root expansion against the path model reduced at the root."""
+    """The production root route against the path model reduced at the root.
+
+    It reads :func:`root_coefficients`, which takes no rule, so the check
+    runs no arbitration of its own.
+    """
     n, rule = path_root.n, path_root.rule
-    production = root_of_unity_expansion(n, rule).as_operator()
+    production = _operator(root_coefficients(n))
     names = ("production_value", "path_value")
     difference = _operator_difference(n, production, path_root.as_operator(), names)
     return _row("reduction-commutes", n, rule, difference)

@@ -244,13 +244,37 @@ def q_number(k: int) -> QPoly:
     return QPoly((1,) * k)
 
 
+def _times_q_number(coeffs: list[int], m: int) -> list[int]:
+    """Coefficients of p * [m]_q for m >= 1, p given by ``coeffs``.
+
+    [m]_q = (1 - q^m) / (1 - q), so coefficient i of the product is a
+    windowed prefix sum: the sum of p's coefficients i - m + 1 .. i.
+    """
+    sums = list(accumulate(coeffs + [0] * (m - 1)))
+    return sums[:m] + [high - low for high, low in zip(sums[m:], sums)]
+
+
+def _over_q_number(coeffs: list[int], m: int) -> list[int]:
+    """Coefficients of p / [m]_q for m >= 1; raises ValueError unless exact.
+
+    Multiplies by 1 - q, then divides by 1 - q^m: the quotient r has
+    r_j = c_j + r_(j-m), a prefix sum along each residue class mod m, and
+    the division is exact when its last m entries vanish.
+    """
+    c = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    for r in range(m):
+        c[r::m] = accumulate(c[r::m])
+    if any(c[-m:]):
+        raise ValueError(f"not divisible by [{m}]_q")
+    return c[:-m]
+
+
 @cache
 def q_factorial(k: int) -> QPoly:
     """Product of the q-integers 1..k; the empty product 1 for k = 0.
 
-    One running product p, multiplied by [m]_q = (1 - q^m) / (1 - q) for
-    m = 2..k as a windowed prefix sum: coefficient i of p * [m]_q is the sum
-    of p's coefficients i - m + 1 .. i.  No recursion and no general product.
+    One running product, multiplied by [m]_q for m = 2..k as a windowed
+    prefix sum (:func:`_times_q_number`).  No recursion and no general product.
 
     >>> print(q_factorial(3))
     1 + 2*q + 2*q^2 + q^3
@@ -259,31 +283,33 @@ def q_factorial(k: int) -> QPoly:
         raise ValueError("k must be nonnegative")
     coeffs = [1]
     for m in range(2, k + 1):
-        sums = list(accumulate(coeffs + [0] * (m - 1)))
-        coeffs = sums[:m] + [high - low for high, low in zip(sums[m:], sums)]
+        coeffs = _times_q_number(coeffs, m)
     return QPoly._trusted(tuple(coeffs))
 
 
 @cache
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient, division-free.
+    """Gaussian binomial coefficient, as a windowed product.
 
-    Builds Pascal rows with the recurrence C(m,j) = C(m-1,j-1) + q^j * C(m-1,j),
-    keeping only the current row and only the columns up to min(k, n-k)
-    (the coefficient is symmetric in k and n-k), so no polynomial division
-    and no recursion is needed.  Agreement with the factorial quotient is
-    checked in the test suite by exact division.  Out-of-range k yields 0.
+    With k replaced by min(k, n - k) (the coefficient is symmetric in k and
+    n - k), pass i = 1..k multiplies by [n - k + i]_q and divides exactly
+    by [i]_q, each a linear pass over the coefficients
+    (:func:`_times_q_number`, :func:`_over_q_number`).  After pass i the
+    running value is [n - k + i choose i]_q, a polynomial, so every division
+    is exact.  Out-of-range k yields 0.
+
+    >>> print(q_binomial(4, 2))
+    1 + q + 2*q^2 + q^3 + q^4
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
     k = min(k, n - k)
-    row = [ONE] + [ZERO] * k  # row[j] = C(m, j), starting at m = 0
-    for m in range(1, n + 1):
-        for j in range(min(m, k), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[k]
+    coeffs = [1]
+    for i in range(1, k + 1):
+        coeffs = _over_q_number(_times_q_number(coeffs, n - k + i), i)
+    return QPoly._trusted(tuple(coeffs))
 
 
 def divisors(n: int) -> list[int]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, groupby
+from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .cyclo import ONE, ZERO, QPoly, int_tuple
 
@@ -113,14 +113,7 @@ class Comp:
         >>> Comp((2, 0, 0)).text()
         'd^2(a)*a^2'
         """
-        if not self.entries:
-            return "1"
-        parts = []
-        for j, run in groupby(self.entries):
-            count = len(list(run))
-            base = "a" if j == 0 else ("d(a)" if j == 1 else f"d^{j}(a)")
-            parts.append(base if count == 1 else f"{base}^{count}")
-        return "*".join(parts)
+        return TEXT.render(self.entries)
 
     def latex(self) -> str:
         """The word in LaTeX.
@@ -128,25 +121,82 @@ class Comp:
         >>> Comp((2, 0, 0)).latex()
         'd_M^{2}(a)a^{2}'
         """
-        if not self.entries:
-            return "1"
-        parts = []
-        for j, run in groupby(self.entries):
-            count = len(list(run))
-            base = "a" if j == 0 else ("d_M(a)" if j == 1 else f"d_M^{{{j}}}(a)")
-            if count == 1:
-                parts.append(base)
-            elif j == 0:
-                parts.append(f"a^{{{count}}}")
-            else:
-                parts.append(f"({base})^{{{count}}}")
-        return "".join(parts)
+        return LATEX.render(self.entries)
 
     def __repr__(self) -> str:
         return f"Comp({self.entries!r})"
 
 
 EMPTY = Comp(())
+
+
+class Entries:
+    """Builds a word as its entries tuple, from its last entry backwards.
+
+    The protocol of a word builder, shared with :class:`WordStyle`: start
+    from ``empty``, ``prepend`` entries right to left, ``finish`` the word.
+    """
+
+    empty: tuple[int, ...] = ()
+
+    @staticmethod
+    def prepend(entry: int, suffix: tuple[int, ...]) -> tuple[int, ...]:
+        return (entry,) + suffix
+
+    @staticmethod
+    def finish(suffix: tuple[int, ...]) -> tuple[int, ...]:
+        return suffix
+
+
+def _text_run(j: int, count: int) -> str:
+    base = "a" if j == 0 else ("d(a)" if j == 1 else f"d^{j}(a)")
+    return base if count == 1 else f"{base}^{count}"
+
+
+def _latex_run(j: int, count: int) -> str:
+    base = "a" if j == 0 else ("d_M(a)" if j == 1 else f"d_M^{{{j}}}(a)")
+    if count == 1:
+        return base
+    return f"a^{{{count}}}" if j == 0 else f"({base})^{{{count}}}"
+
+
+class WordStyle:
+    """A format for words: ``run(j, count)`` renders the factor e_j^count,
+    and ``sep`` joins the factors of a word; the empty word is ``1``.
+
+    A word builder (see :class:`Entries`): a suffix is held as its first
+    entry, that entry's run length and the rendered runs after it, each
+    behind ``sep``.  A walk that extends words leftwards thus carries their
+    text, rendering a run once, when an entry other than its own is put in
+    front of it; :meth:`render`, behind :meth:`Comp.text` and
+    :meth:`Comp.latex`, takes the same steps.
+    """
+
+    __slots__ = ("run", "sep")
+    empty = (-1, 0, "")
+
+    def __init__(self, run: Callable[[int, int], str], sep: str):
+        self.run, self.sep = run, sep
+
+    def prepend(self, entry: int, suffix: tuple[int, int, str]) -> tuple[int, int, str]:
+        head, count, rest = suffix
+        if entry == head:
+            return head, count + 1, rest
+        return entry, 1, (self.sep + self.run(head, count) + rest) if count else ""
+
+    def finish(self, suffix: tuple[int, int, str]) -> str:
+        head, count, rest = suffix
+        return self.run(head, count) + rest if count else "1"
+
+    def render(self, entries: tuple[int, ...]) -> str:
+        suffix = self.empty
+        for entry in reversed(entries):
+            suffix = self.prepend(entry, suffix)
+        return self.finish(suffix)
+
+
+TEXT = WordStyle(_text_run, "*")
+LATEX = WordStyle(_latex_run, "")
 
 
 class WeightRule(str, Enum):

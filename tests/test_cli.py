@@ -10,7 +10,9 @@ import qcurvature.cli as cli
 from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
+    generic_expansion,
     path_expansion,
+    resolve_default_rule,
     root_of_unity_expansion,
 )
 from qcurvature.cyclo import q_number
@@ -101,6 +103,24 @@ class TestCurvatureCommand:
         code, _, err = invoke(capsys, "curvature", "--n", "1", "--mode", "root")
         assert code == 2
         assert "error" in err
+
+
+class TestStreamedCurvature:
+    """Text and LaTeX are written term by term; they must equal the whole-value rendering."""
+
+    @pytest.mark.parametrize("rule", ["default", "literal", "prefix"])
+    @pytest.mark.parametrize("mode", ["generic", "root"])
+    def test_stream_equals_library_rendering(self, capsys, mode, rule):
+        expand = root_of_unity_expansion if mode == "root" else generic_expansion
+        weight_rule = resolve_default_rule() if rule == "default" else WeightRule(rule)
+        for n in range(2, 13):
+            expansion = expand(n, weight_rule)
+            powers = range(n - 1 if mode == "root" else n, -1, -1)
+            text = "".join(f"c[{k}] = {expansion.coefficient(k)}\n" for k in powers)
+            latex = "".join(f"c_{{{k}}} = {expansion.coefficient(k).latex()}\n" for k in powers)
+            for fmt, expected in (("text", text), ("latex", latex)):
+                argv = ("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule)
+                assert invoke(capsys, *argv)[:2] == (0, expected), (n, fmt)
 
 
 class TestOtherCommands:
@@ -280,6 +300,19 @@ class TestScriptedInvocations:
     def test_verification_failure_exits_one(self):
         proc = self.script("verify", "--n", "3", "--rule", "literal")
         assert proc.returncode == 1
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the reader takes 20 bytes of several megabytes and goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcurvature", "curvature", "--n", "14", "--mode", "generic"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20) == b"c[14] = 1\nc[13] = (1"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+        assert err == "rule: prefix (oracle-arbitrated default)\n"
 
     def test_argument_error_exits_two(self):
         proc = self.script("cq", "--n", "3")

@@ -33,7 +33,7 @@ from qcurvature.freealg import (
     deformed_power,
     maurer_cartan_element,
 )
-from qcurvature.paths import Comp, WeightRule, forward_tables, stay_count
+from qcurvature.paths import LATEX, TEXT, Comp, Entries, WeightRule, forward_tables, stay_count
 
 PREFIX = WeightRule.PREFIX
 LITERAL = WeightRule.LITERAL
@@ -188,6 +188,23 @@ class TestClosedForm:
             bound = comb(n, k) * factorial(k - 1)
             assert bound < 2 ** (curvature._packing_bits(n, k) - 1)
             assert max(value.evaluate(1) for _, value in c[n - k].items()) <= bound
+
+
+class TestClosedFormWalk:
+    """The one walk behind both production routes and the streamed CLI output."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_walk_is_in_canonical_order_with_every_word_once(self, n):
+        words = [s for s, _ in curvature._closed_form_walk(n, 8)]
+        assert words == sorted(compositions(n), key=lambda s: Comp(s).sort_key())
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_carried_word_text_is_the_word_text(self, n):
+        bits = curvature._packing_bits(n, n)
+        entries = [s for s, _ in curvature._closed_form_walk(n, bits)]
+        for style, render in ((TEXT, Comp.text), (LATEX, Comp.latex)):
+            carried = [text for text, _ in curvature._closed_form_walk(n, bits, 1, style)]
+            assert carried == [render(Comp(s)) for s in entries]
 
 
 class TestBinomialExpansion:
@@ -467,20 +484,41 @@ class TestArbitrationAndVerify:
         assert rows(verify_suite(6, LITERAL)) == []
         assert rows(verify_suite(6)) == [2, 3, 4, 5, 6]
 
-    def test_wrong_closed_form_fails_verify(self, monkeypatch):
-        # both production routes read M(n) from the closed form; the path
-        # model, the recursion and the operator oracle do not
-        real = curvature._closed_form_packed
+    def test_wrong_closed_form_fails_verify(self, monkeypatch, capsys):
+        # both production routes and the CLI read M(n) from the closed-form
+        # walk; the path model, the recursion and the operator oracle do not
+        real = curvature._closed_form_walk
+        assert run(["curvature", "--n", "6"]) == 0
+        right = capsys.readouterr().out
 
-        def wrong(n, bits, start=1):
-            # add 1 to the packed coefficient of the word a^n
-            return [(s, x + (s == (0,) * n)) for s, x in real(n, bits, start)]
+        def wrong(n, bits, start=1, words=Entries):
+            # add 1 to the packed coefficient of the word a^n, the last one
+            walk = list(real(n, bits, start, words))
+            word, x = walk.pop()
+            return walk + [(word, x + 1)]
 
-        monkeypatch.setattr(curvature, "_closed_form_packed", wrong)
+        monkeypatch.setattr(curvature, "_closed_form_walk", wrong)
         report = verify_suite(6)
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes", "binomial-formula"}
+        assert run(["curvature", "--n", "6"]) == 0
+        assert capsys.readouterr().out != right
+
+    def test_cold_verify_arbitrates_once(self, monkeypatch):
+        # verify builds each rule's oracle-equivalence rows for n = 2..8 and
+        # reads the arbitration off them; no check runs the arbitration again
+        real = curvature._check_oracle_equivalence
+        calls = []
+        monkeypatch.setattr(
+            curvature, "_check_oracle_equivalence", lambda n, rule: calls.append(n) or real(n, rule)
+        )
+        resolve_default_rule.cache_clear()
+        try:
+            assert verify_suite(8).passed
+        finally:
+            resolve_default_rule.cache_clear()
+        assert len(calls) == 2 * 7
 
     def test_wrong_generic_production_fails_verify_at_n6(self, monkeypatch):
         # binomial-formula is the only check that reads the generic
@@ -512,26 +550,24 @@ class TestArbitrationAndVerify:
         assert failing == {"maurer-cartan"}
 
     def test_wrong_root_route_fails_verify(self, monkeypatch):
-        real = curvature.root_of_unity_expansion
+        real = curvature.root_coefficients
 
-        def wrong(n, rule=None):
-            right = real(n, rule)
-            return CurvatureExpansion(n, right.mode, right.rule, {0: right.coefficient(0).scaled(2)})
+        def wrong(n):
+            return {0: real(n)[0].scaled(2)}
 
-        monkeypatch.setattr(curvature, "root_of_unity_expansion", wrong)
+        monkeypatch.setattr(curvature, "root_coefficients", wrong)
         report = verify_suite(6)
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes"}
 
     def test_failing_reduction_commutes_names_first_difference(self, monkeypatch):
-        real = curvature.root_of_unity_expansion
+        real = curvature.root_coefficients
 
-        def wrong(n, rule=None):
-            right = real(n, rule)
-            return CurvatureExpansion(n, right.mode, right.rule, {0: right.coefficient(0).scaled(2)})
+        def wrong(n):
+            return {0: real(n)[0].scaled(2)}
 
-        monkeypatch.setattr(curvature, "root_of_unity_expansion", wrong)
+        monkeypatch.setattr(curvature, "root_coefficients", wrong)
         rows = [c for c in verify_suite(3).checks if c.check == "reduction-commutes"]
         assert [c.status for c in rows] == ["fail", "fail"]
         # the canonically first word of M(2) reduced at -1 is d(a), coefficient 1

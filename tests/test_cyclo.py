@@ -2,7 +2,8 @@
 
 import operator
 import sys
-from math import factorial, gcd
+import time
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +186,23 @@ class TestQNumbers:
     def test_q_binomial_symmetry(self, n):
         for k in range(0, n + 1):
             assert q_binomial(n, k) == q_binomial(n, n - k)
+
+    def test_q_binomial_matches_pascal_recurrence(self):
+        # C(m, j) = C(m-1, j-1) + q^j C(m-1, j), one row at a time
+        row = [ONE]
+        for m in range(0, 31):
+            if m:
+                row = [ONE] + [row[j - 1] + row[j].shift(j) for j in range(1, m)] + [ONE]
+            for k in range(-1, m + 2):
+                assert q_binomial(m, k) == (row[k] if 0 <= k <= m else ZERO), (m, k)
+
+    def test_q_binomial_at_scale_is_fast(self):
+        q_binomial.cache_clear()
+        start = time.perf_counter()
+        value = q_binomial(300, 150)
+        assert time.perf_counter() - start < 5
+        assert value.degree == 150 * 150
+        assert value.evaluate(1) == comb(300, 150)
 
     def test_q_binomial_specialises_to_integers_at_one(self):
         from math import comb
