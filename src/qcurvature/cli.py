@@ -3,10 +3,12 @@
 Subcommands: ``curvature`` (full expansion), ``cq`` (one path sum),
 ``binom`` (Gaussian binomial), ``infinitesimal`` (first-order
 coefficients), ``verify`` (cross-validation suite).  Output formats:
-text, latex, json; ``curvature`` writes text and LaTeX term by term as it
-computes them.  Exit codes: 0 success, 1 verification failure, 2 argument
-error, 3 unexpected internal error (one line on stderr), 141 stdout closed
-by its reader (nothing on stderr).  All output is deterministic.
+text, latex, json; every ``curvature`` format reads one stream of terms
+(``curvature.expansion_terms``): text and LaTeX are written term by term
+as they are computed, JSON is built as one value and written at the end.
+Exit codes: 0 success, 1 verification failure, 2 argument error, 3
+unexpected internal error (one line on stderr), 141 stdout closed by its
+reader (nothing on stderr).  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -15,24 +17,18 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator
 
 from .curvature import (
-    GENERIC,
-    ROOT,
     InfinitesimalCoefficients,
-    generic_expansion,
+    expansion_json,
+    expansion_terms,
     infinitesimal_coefficients,
-    path_expansion,
-    path_root_expansion,
-    production_terms,
     resolve_default_rule,
-    root_of_unity_expansion,
     verify_suite,
 )
 from .cyclo import CycloModulus, QPoly, coeffs_list, q_binomial
-from .freealg import _term
-from .paths import LATEX, TEXT, Comp, WeightRule, path_sum_dp, path_sum_enum
+from .freealg import _sum_pieces
+from .paths import LATEX, TEXT, Comp, Entries, WeightRule, path_sum_dp, path_sum_enum
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
@@ -134,47 +130,20 @@ def _poly_out(value: QPoly, fmt: str, payload: dict) -> None:
 def _run_curvature(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
-    mode = ROOT if args.mode == "root" else GENERIC
     if args.format == "json":
-        expand = root_of_unity_expansion if mode == ROOT else generic_expansion
-        _emit_json(expand(args.n, rule).to_json_dict())
+        blocks = expansion_terms(args.n, args.mode, rule, Entries, coeffs_list)
+        _emit_json(expansion_json(args.n, args.mode, rule, blocks))
         return 0
+    # text and LaTeX are written term by term: c[k] = ... (c_{k} = ... in LaTeX)
     latex = args.format == "latex"
     style, present = (LATEX, QPoly.latex) if latex else (TEXT, QPoly.compact)
-    if rule is resolve_default_rule():
-        blocks = production_terms(args.n, mode, style, present)
-    else:
-        # the power formula covers only the arbitrated rule; the path model serves the others
-        expand = path_root_expansion if mode == ROOT else path_expansion
-        expansion = expand(args.n, rule)
-        top = args.n - 1 if mode == ROOT else args.n
-
-        def terms(k: int) -> Iterator[tuple[str, str]]:
-            for s, c in expansion.coefficient(k).items():
-                yield style.render(s.entries), present(c)
-
-        blocks = ((k, terms(k)) for k in range(top, -1, -1))
-    _write_expansion(blocks, latex)
-    return 0
-
-
-def _write_expansion(blocks: Iterable[tuple[int, Iterable[tuple[str, str]]]], latex: bool) -> None:
-    """Write ``c[k] = ...`` (``c_{k} = ...`` in LaTeX) per block, term by term.
-
-    Each block is (k, terms), terms being (word, coefficient) already
-    rendered, in canonical word order; a term is written as the element
-    printers write it (``freealg._term``), and an empty block as ``0``.
-    """
-    head, times = ("c_{{{}}} = ", "") if latex else ("c[{}] = ", "*")
+    head = "c_{{{}}} = " if latex else "c[{}] = "
     write = sys.stdout.write
-    for k, terms in blocks:
+    for k, terms in expansion_terms(args.n, args.mode, rule, style, present):
         write(head.format(k))
-        sep = ""
-        for word, coeff in terms:
-            # the empty word ("1") is a bare coefficient
-            write(sep + _term(coeff, [word] if word != "1" else [], times))
-            sep = " + "
-        write("\n" if sep else "0\n")
+        sys.stdout.writelines(_sum_pieces(terms, style.sep))
+        write("\n")
+    return 0
 
 
 def _run_cq(args: argparse.Namespace) -> int:

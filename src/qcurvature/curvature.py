@@ -7,15 +7,17 @@ expansion, q-binomial power formula), reduces it at roots of unity,
 extracts the first-order (infinitesimal) coefficients, and packages all
 pairwise consistency checks into a verification report.
 
-Routes.  The power formula is the production route of both modes
-(:func:`generic_expansion`, :func:`root_of_unity_expansion`) under the
+Routes.  The power formula is the production route of both modes under the
 oracle-arbitrated weight rule, with M(k) = D^(k-1) a taken from its closed
 product formula by one walk in canonical word order (:func:`_closed_form_walk`),
-which the CLI streams through :func:`production_terms`.  The recursion defining M(k)
-(:func:`maurer_cartan_element`), the path model (:func:`path_expansion`,
-:func:`path_root_expansion`) and the operator expansion are oracles; the
-path model also serves an explicitly chosen rule, which the power formula
-does not cover.
+streamed by :func:`production_terms`.  :func:`expansion_terms` is the one
+place where a rule picks its route: the arbitrated rule reads that stream,
+and any other rule, which the power formula does not cover, reads the path
+model (:func:`path_expansion`, :func:`path_root_expansion`) in the same
+(k, terms) shape.  The library's expansions (:func:`generic_expansion`,
+:func:`root_of_unity_expansion`) and every CLI format read that one stream.
+The recursion defining M(k) (:func:`maurer_cartan_element`), the path model
+under the arbitrated rule and the operator expansion are oracles.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ GENERIC = "generic"
 ROOT = "root"
 
 
+Blocks = Iterable[tuple[int, Iterable[tuple[object, object]]]]
+Words = type[Entries] | WordStyle
+
+
+def _identity(value: QPoly) -> QPoly:
+    return value
+
+
 @dataclass(frozen=True, eq=True)
 class CurvatureExpansion:
     """Expansion of the n-th deformed power as sum of c_k * d^k.
@@ -82,22 +92,13 @@ class CurvatureExpansion:
     def as_operator(self) -> OperatorPoly:
         return _operator(self.c)
 
+    def blocks(self, words: Words, present: Callable[[QPoly], object]) -> Blocks:
+        """(k, terms) per power d^k, top down, in the shape of :func:`expansion_terms`."""
+        for k in range(self.n if self.mode == GENERIC else self.n - 1, -1, -1):
+            yield k, ((words.render(s.entries), present(c)) for s, c in self.coefficient(k).items())
+
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "rule": self.rule.value,
-            "c": [
-                {
-                    "k": k,
-                    "terms": [
-                        {"s": list(mono.entries), "coeff": coeffs_list(coeff)}
-                        for mono, coeff in self.c[k].items()
-                    ],
-                }
-                for k in self.powers()
-            ],
-        }
+        return expansion_json(self.n, self.mode, self.rule, self.blocks(Entries, coeffs_list))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CurvatureExpansion:
@@ -110,8 +111,10 @@ class CurvatureExpansion:
                 raise ValueError(f"n={n} is too small for {mode} mode")
             # generic mode has powers d^0..d^n; at a root d^n is gone
             top = n if mode == GENERIC else n - 1
-            # duplicates and zero coefficients would be merged or dropped,
-            # so the payload would not round-trip: reject them
+            # reject an unreduced coefficient at a root, and what would be
+            # merged or dropped, so would not round-trip: a duplicate, an
+            # empty power, a zero coefficient or a trailing zero
+            bound = CycloModulus.of(n).phi.degree if mode == ROOT else None
             c: dict[int, ElementPoly] = {}
             for entry in data["c"]:
                 k = _json_int(entry["k"])
@@ -130,10 +133,18 @@ class CurvatureExpansion:
                         )
                     if mono in terms:
                         raise ValueError(f"word {word} appears twice at k={k}")
-                    coeff = poly_from_coeffs(_json_list(item["coeff"]))
-                    if coeff.is_zero():
-                        raise ValueError(f"word {word} at k={k} has coefficient 0")
+                    listed = _json_list(item["coeff"])
+                    coeff = poly_from_coeffs(listed)
+                    if coeff.is_zero() or listed[-1] == 0:
+                        raise ValueError(f"word {word} at k={k} has coefficient {list(listed)}")
+                    if bound is not None and coeff.degree >= bound:
+                        raise ValueError(
+                            f"word {word} at k={k} has coefficient {list(listed)}, "
+                            f"not reduced mod Phi_{n}"
+                        )
                     terms[mono] = coeff
+                if not terms:
+                    raise ValueError(f"power k={k} has no terms")
                 c[k] = ElementPoly(terms)
             return cls(n=n, mode=mode, rule=WeightRule(data["rule"]), c=c)
         except (KeyError, TypeError) as exc:
@@ -146,6 +157,17 @@ def _operator(c: dict[int, ElementPoly]) -> OperatorPoly:
     return OperatorPoly(
         {(mono, k): coeff for k, element in c.items() for mono, coeff in element._terms.items()}
     )
+
+
+def expansion_json(n: int, mode: str, rule: WeightRule, blocks: Blocks) -> dict:
+    """The JSON form of an expansion from its blocks, words as entries and
+    coefficients as lists; a power with no terms is left out."""
+    c = []
+    for k, terms in blocks:
+        listed = [{"s": list(s), "coeff": coeff} for s, coeff in terms]
+        if listed:
+            c.append({"k": k, "terms": listed})
+    return {"n": n, "mode": mode, "rule": rule.value, "c": c}
 
 
 def _json_int(value: object) -> int:
@@ -244,7 +266,7 @@ def _unpack(x: int, bits: int, length: int | None = None) -> list[int]:
 
 
 def _closed_form_walk(
-    n: int, bits: int, start: int = 1, words: type[Entries] | WordStyle = Entries
+    n: int, bits: int, start: int = 1, words: Words = Entries
 ) -> Iterator[tuple[object, int]]:
     """Every word of degree n with ``start`` times its closed-form coefficient in M(n).
 
@@ -310,9 +332,9 @@ def _distinct(
 def production_terms(
     n: int,
     mode: str,
-    words: type[Entries] | WordStyle = Entries,
-    present: Callable[[QPoly], object] = lambda value: value,
-) -> Iterator[tuple[int, Iterator[tuple[object, object]]]]:
+    words: Words = Entries,
+    present: Callable[[QPoly], object] = _identity,
+) -> Blocks:
     """The production route of ``mode`` under the oracle-arbitrated rule, as a stream.
 
     Yields (k, terms) for every power d^k from the top down (d^n in generic
@@ -360,12 +382,23 @@ def _unpacked(x: int, bits: int) -> QPoly:
     return QPoly._trusted(tuple(_unpack(x, bits)))
 
 
-def _gathered(n: int, mode: str) -> dict[int, ElementPoly]:
-    """:func:`production_terms` as element coefficients, keys ascending, vanished ones dropped."""
-    c = {
-        k: ElementPoly({Comp._trusted(s): value for s, value in terms})
-        for k, terms in production_terms(n, mode)
-    }
+def expansion_terms(
+    n: int, mode: str, rule: WeightRule, words: Words = Entries,
+    present: Callable[[QPoly], object] = _identity,
+) -> Blocks:
+    """The expansion of ``mode`` under ``rule``, in the shape of :func:`production_terms`:
+    the one place where a rule picks its route.  The power formula is a theorem
+    about the oracle-arbitrated rule only; any other is read out of the path
+    model (:func:`path_expansion`, :func:`path_root_expansion`)."""
+    if rule is resolve_default_rule():
+        return production_terms(n, mode, words, present)
+    return (path_root_expansion if mode == ROOT else path_expansion)(n, rule).blocks(words, present)
+
+
+def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
+    """Blocks, words as entries, gathered into element coefficients, keys
+    ascending, vanished ones dropped."""
+    c = {k: ElementPoly({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
     return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
 
 
@@ -377,7 +410,7 @@ def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _gathered(n, GENERIC)
+    return _gathered(production_terms(n, GENERIC))
 
 
 def root_coefficients(n: int) -> dict[int, ElementPoly]:
@@ -385,42 +418,27 @@ def root_coefficients(n: int) -> dict[int, ElementPoly]:
     zero: :func:`production_terms` at the root, which takes no rule."""
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
-    return _gathered(n, ROOT)
-
-
-def _power_formula_covers(rule: WeightRule) -> bool:
-    """The power formula is a theorem about the oracle-arbitrated rule only."""
-    return rule is resolve_default_rule()
+    return _gathered(production_terms(n, ROOT))
 
 
 def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Generic-mode expansion: the production route.
-
-    Under the oracle-arbitrated rule this is :func:`power_formula_coefficients`;
-    any other rule goes through the path model, :func:`path_expansion`.
-    """
+    """Generic-mode expansion, gathered from :func:`expansion_terms`: the power
+    formula under the oracle-arbitrated rule, else :func:`path_expansion`."""
     if n < 1:
         raise ValueError("n must be positive")
     rule = rule if rule is not None else resolve_default_rule()
-    if not _power_formula_covers(rule):
-        return path_expansion(n, rule)
-    return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=power_formula_coefficients(n))
+    return CurvatureExpansion(n, GENERIC, rule, _gathered(expansion_terms(n, GENERIC, rule)))
 
 
 def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Expansion at a primitive n-th root of unity: the production route.
-
-    Under the oracle-arbitrated rule this is :func:`root_coefficients`: M(n)
-    reduced modulo the n-th cyclotomic polynomial, as c[0] (dropped when
-    zero).  Any other rule goes through the path model,
-    :func:`path_root_expansion`.
-    """
+    """Expansion at a primitive n-th root of unity, gathered from
+    :func:`expansion_terms`: under the oracle-arbitrated rule M(n) reduced
+    modulo the n-th cyclotomic polynomial, as c[0] (dropped when zero), else
+    :func:`path_root_expansion`."""
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
     rule = rule if rule is not None else resolve_default_rule()
-    if not _power_formula_covers(rule):
-        return path_root_expansion(n, rule)
-    return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=root_coefficients(n))
+    return CurvatureExpansion(n, ROOT, rule, _gathered(expansion_terms(n, ROOT, rule)))
 
 
 def binomial_expansion(n: int) -> OperatorPoly:

@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cyclo import ONE, ZERO, CycloModulus, QPoly
 from .paths import EMPTY, Comp
@@ -131,30 +131,40 @@ class OperatorPoly:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        return " + ".join(_term_text(t.coeff, t.mono, t.dpow) for t in self.terms()) or "0"
+        terms = ((_operator_word(t.mono, t.dpow), t.coeff.compact()) for t in self.terms())
+        return "".join(_sum_pieces(terms, "*"))
 
     def __repr__(self) -> str:
         return f"OperatorPoly('{self}')"
 
 
-def _term(coeff: str, factors: list[str], times: str) -> str:
-    """One summand: the rendered ``coeff`` in front of ``factors``, joined by ``times``.
+def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
+    """A sum of rendered (word, coefficient) terms, piece by piece; "0" for none.
 
-    A compound coefficient goes in parentheses and a coefficient of 1 is
-    dropped; with no factors the term is the coefficient alone.
+    Each term is the coefficient ``times`` the word (a compound coefficient
+    in parentheses, a coefficient 1 dropped, the empty word "1" leaving a
+    bare coefficient), behind " + " from the second on.
     """
-    if not factors:
-        return coeff
-    if coeff != "1":
-        factors = [f"({coeff})" if "+" in coeff or "-" in coeff else coeff, *factors]
-    return times.join(factors)
+    sep = ""
+    for word, coeff in terms:
+        if word == "1":
+            term = coeff
+        elif coeff == "1":
+            term = word
+        else:
+            term = (f"({coeff})" if "+" in coeff or "-" in coeff else coeff) + times + word
+        yield sep + term
+        sep = " + "
+    if not sep:
+        yield "0"
 
 
-def _term_text(coeff: QPoly, mono: Comp, dpow: int) -> str:
+def _operator_word(mono: Comp, dpow: int) -> str:
+    """The word times d^dpow in text; "1" when both are empty."""
     factors = [mono.text()] if len(mono) else []
     if dpow:
         factors.append("d" if dpow == 1 else f"d^{dpow}")
-    return _term(coeff.compact(), factors, "*")
+    return "*".join(factors) or "1"
 
 
 @cache
@@ -273,7 +283,7 @@ class ElementPoly:
     __hash__ = None
 
     def __str__(self) -> str:
-        return " + ".join(_term_text(coeff, mono, 0) for mono, coeff in self.items()) or "0"
+        return "".join(_sum_pieces(((m.text(), c.compact()) for m, c in self.items()), "*"))
 
     def latex(self) -> str:
         """The element in LaTeX, summands in canonical word order.
@@ -281,10 +291,7 @@ class ElementPoly:
         >>> ElementPoly({Comp((1,)): QPoly((1, 1)), Comp((0, 0)): ONE}).latex()
         '(1+q)d_M(a) + a^{2}'
         """
-        return " + ".join(
-            _term(coeff.latex(), [mono.latex()] if len(mono) else [], "")
-            for mono, coeff in self.items()
-        ) or "0"
+        return "".join(_sum_pieces(((m.latex(), c.latex()) for m, c in self.items()), ""))
 
     def __repr__(self) -> str:
         return f"ElementPoly('{self}')"

@@ -5,8 +5,10 @@ e_{s_1} * ... * e_{s_m} that every expansion in this package is a sum over.
 From a vertex s there is one edge prepending a zero entry, one self-loop
 ("stay"), and one edge incrementing each existing entry.  Weighted sums over
 length-n paths from the empty vertex are computed both by explicit
-enumeration and by forward dynamic programming; both are oracles for the
-q-binomial power formula, which is the production route.
+enumeration and by forward dynamic programming.  Under the oracle-arbitrated
+weight rule both are oracles for the q-binomial power formula, the
+production route; under any other rule the dynamic program is the route
+that serves the expansion, with enumeration its oracle.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ class Entries:
     """Builds a word as its entries tuple, from its last entry backwards.
 
     The protocol of a word builder, shared with :class:`WordStyle`: start
-    from ``empty``, ``prepend`` entries right to left, ``finish`` the word.
+    from ``empty``, ``prepend`` entries right to left, ``finish`` the word;
+    ``render`` builds a whole word from its entries at once.
     """
 
     empty: tuple[int, ...] = ()
@@ -146,6 +149,8 @@ class Entries:
     @staticmethod
     def finish(suffix: tuple[int, ...]) -> tuple[int, ...]:
         return suffix
+
+    render = finish  # a whole word's entries are already the word
 
 
 def _text_run(j: int, count: int) -> str:

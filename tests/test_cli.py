@@ -10,8 +10,8 @@ import qcurvature.cli as cli
 from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
-    generic_expansion,
     path_expansion,
+    path_root_expansion,
     resolve_default_rule,
     root_of_unity_expansion,
 )
@@ -106,21 +106,31 @@ class TestCurvatureCommand:
 
 
 class TestStreamedCurvature:
-    """Text and LaTeX are written term by term; they must equal the whole-value rendering."""
+    """Every format reads one stream; each must equal the path-model oracle's expansion.
+
+    Under the arbitrated rule the production route and the path model are
+    two routes whose equality ``verify`` proves; under any other rule the
+    stream reads the path model itself.
+    """
 
     @pytest.mark.parametrize("rule", ["default", "literal", "prefix"])
     @pytest.mark.parametrize("mode", ["generic", "root"])
-    def test_stream_equals_library_rendering(self, capsys, mode, rule):
-        expand = root_of_unity_expansion if mode == "root" else generic_expansion
+    def test_stream_equals_path_model(self, capsys, mode, rule):
+        expand = path_root_expansion if mode == "root" else path_expansion
         weight_rule = resolve_default_rule() if rule == "default" else WeightRule(rule)
         for n in range(2, 13):
             expansion = expand(n, weight_rule)
             powers = range(n - 1 if mode == "root" else n, -1, -1)
             text = "".join(f"c[{k}] = {expansion.coefficient(k)}\n" for k in powers)
             latex = "".join(f"c_{{{k}}} = {expansion.coefficient(k).latex()}\n" for k in powers)
-            for fmt, expected in (("text", text), ("latex", latex)):
+            for fmt in ("text", "latex", "json"):
                 argv = ("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule)
-                assert invoke(capsys, *argv)[:2] == (0, expected), (n, fmt)
+                code, out, _ = invoke(capsys, *argv)
+                assert code == 0, (n, fmt)
+                if fmt == "json":
+                    assert CurvatureExpansion.from_json_dict(json.loads(out)) == expansion, n
+                else:
+                    assert out == (text if fmt == "text" else latex), (n, fmt)
 
 
 class TestOtherCommands:

@@ -373,6 +373,8 @@ class TestJsonRoundTrip:
             {"n": 2, "mode": "generic", "rule": "prefix", "c": [{"k": -1, "terms": []}]},
             # d^n does not survive at a root of unity
             {"n": 2, "mode": "root", "rule": "prefix", "c": [{"k": 2, "terms": [{"s": [], "coeff": [1]}]}]},
+            # at a root every coefficient is reduced: degree below deg Phi_2 = 1
+            {"n": 2, "mode": "root", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [1], "coeff": [1, 1]}]}]},
             # root mode needs n >= 2, generic mode n >= 1
             {"n": 1, "mode": "root", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [0], "coeff": [1]}]}]},
             {"n": 0, "mode": "generic", "rule": "prefix", "c": [{"k": 0, "terms": [{"s": [], "coeff": [1]}]}]},
@@ -397,6 +399,10 @@ class TestJsonRoundTrip:
             [{"k": 0, "terms": [{"s": [1], "coeff": []}]}],
             [{"k": 0, "terms": [{"s": [1], "coeff": [0]}]}],
             [{"k": 0, "terms": [{"s": [1], "coeff": [0, 0]}]}],
+            # a trailing zero would be written back as [1]
+            [{"k": 0, "terms": [{"s": [1], "coeff": [1, 0]}]}],
+            # a power with no terms would be left out
+            [{"k": 0, "terms": []}],
         ],
     )
     def test_rejects_what_does_not_round_trip(self, c):
@@ -488,8 +494,11 @@ class TestArbitrationAndVerify:
         # both production routes and the CLI read M(n) from the closed-form
         # walk; the path model, the recursion and the operator oracle do not
         real = curvature._closed_form_walk
-        assert run(["curvature", "--n", "6"]) == 0
-        right = capsys.readouterr().out
+        argvs = (["curvature", "--n", "6"], ["curvature", "--n", "6", "--format", "json"])
+        right = []
+        for argv in argvs:
+            assert run(argv) == 0
+            right.append(capsys.readouterr().out)
 
         def wrong(n, bits, start=1, words=Entries):
             # add 1 to the packed coefficient of the word a^n, the last one
@@ -502,8 +511,9 @@ class TestArbitrationAndVerify:
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes", "binomial-formula"}
-        assert run(["curvature", "--n", "6"]) == 0
-        assert capsys.readouterr().out != right
+        for argv, before in zip(argvs, right):
+            assert run(argv) == 0
+            assert capsys.readouterr().out != before, argv
 
     def test_cold_verify_arbitrates_once(self, monkeypatch):
         # verify builds each rule's oracle-equivalence rows for n = 2..8 and
