@@ -14,7 +14,6 @@ reader (nothing on stderr).  All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -108,6 +107,8 @@ def _resolve_rule(args: argparse.Namespace) -> WeightRule:
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # here, not at the top: only JSON output pays for loading it
+
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 

@@ -22,15 +22,15 @@ under the arbitrated rule and the operator expansion are oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache, partial
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .cyclo import (
     ONE,
     ZERO,
     CycloModulus,
+    Frozen,
     QPoly,
     coeffs_list,
     poly_from_coeffs,
@@ -67,8 +67,7 @@ def _identity(value: QPoly) -> QPoly:
     return value
 
 
-@dataclass(frozen=True, eq=True)
-class CurvatureExpansion:
+class CurvatureExpansion(Frozen):
     """Expansion of the n-th deformed power as sum of c_k * d^k.
 
     In generic mode k runs 0..n and c_n is the scalar 1 (the all-stay
@@ -78,10 +77,10 @@ class CurvatureExpansion:
     degree n - k, so no word carries a derivative of order >= n.
     """
 
-    n: int
-    mode: str
-    rule: WeightRule
-    c: dict[int, ElementPoly]
+    __slots__ = ("n", "mode", "rule", "c")
+
+    def __init__(self, n: int, mode: str, rule: WeightRule, c: dict[int, ElementPoly]):
+        self._fill(n, mode, rule, c)
 
     def coefficient(self, k: int) -> ElementPoly:
         return self.c.get(k, ElementPoly.zero())
@@ -459,12 +458,13 @@ def binomial_expansion(n: int) -> OperatorPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfinitesimalCoefficients:
+class InfinitesimalCoefficients(Frozen):
     """First-order coefficients: entry m multiplies t * d^m(e) * d^(n-1-m)."""
 
-    n: int
-    coeffs: tuple[QPoly, ...]
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple[QPoly, ...]):
+        self._fill(n, coeffs)
 
     def reduced(self, modulus: CycloModulus) -> InfinitesimalCoefficients:
         return InfinitesimalCoefficients(
@@ -524,15 +524,14 @@ def infinitesimal_from_operator(n: int) -> InfinitesimalCoefficients:
 COMPOSITION_SUM_READINGS = ("occupancy", "stay", "block")
 
 
-@dataclass(frozen=True)
-class CompositionSumComparison:
+class CompositionSumComparison(Frozen):
     """One reading of the closed composition-sum formula, checked per entry."""
 
-    n: int
-    convention: str
-    values: tuple[QPoly, ...]
-    reference: tuple[QPoly, ...]
-    matches: tuple[bool, ...]
+    __slots__ = ("n", "convention", "values", "reference", "matches")
+
+    def __init__(self, n: int, convention: str, values: tuple[QPoly, ...],
+                 reference: tuple[QPoly, ...], matches: tuple[bool, ...]):
+        self._fill(n, convention, values, reference, matches)
 
     def all_match(self) -> bool:
         return all(self.matches)
@@ -651,13 +650,12 @@ THREE_STEP_DISPLAY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    n: int
-    status: str  # "pass" | "fail"
-    rule: str | None = None
-    counterexample: dict | None = None
+class CheckResult(Frozen):
+    __slots__ = ("check", "n", "status", "rule", "counterexample")
+
+    def __init__(self, check: str, n: int, status: str,  # "pass" | "fail"
+                 rule: str | None = None, counterexample: dict | None = None):
+        self._fill(check, n, status, rule, counterexample)
 
     def passed(self) -> bool:
         return self.status == "pass"
@@ -671,11 +669,11 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class ListingMismatch:
-    s: tuple[int, ...]
-    stated: tuple[int, ...]
-    computed: tuple[int, ...]
+class ListingMismatch(Frozen):
+    __slots__ = ("s", "stated", "computed")
+
+    def __init__(self, s: tuple[int, ...], stated: tuple[int, ...], computed: tuple[int, ...]):
+        self._fill(s, stated, computed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -685,16 +683,16 @@ class ListingMismatch:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    n_max: int
-    requested_rule: str
-    selected_rule: str
-    checks: tuple[CheckResult, ...]
-    arbitration: dict
-    four_step_mismatches: tuple[ListingMismatch, ...]
-    three_step_display: dict
-    passed: bool
+class VerifyReport(Frozen):
+    __slots__ = ("n_max", "requested_rule", "selected_rule", "checks", "arbitration",
+                 "four_step_mismatches", "three_step_display", "passed")
+
+    def __init__(self, n_max: int, requested_rule: str, selected_rule: str,
+                 checks: tuple[CheckResult, ...], arbitration: dict,
+                 four_step_mismatches: tuple[ListingMismatch, ...],
+                 three_step_display: dict, passed: bool):
+        self._fill(n_max, requested_rule, selected_rule, checks, arbitration,
+                   four_step_mismatches, three_step_display, passed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,15 +8,45 @@ at a primitive root" into a decidable remainder test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate
 from operator import add
-from typing import Iterable
 
 
-@dataclass(frozen=True)
-class QPoly:
+class Frozen:
+    """Immutable value whose fields are ``__slots__``, set once (:meth:`_fill`), compared
+    within one class, hashed together (not when one is a dict) and shown by ``repr``."""
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple) -> None:  # copy and pickle; state[1] maps slot to value
+        self._fill(*(state[1][name] for name in self.__slots__))
+
+
+class QPoly(Frozen):
     """Polynomial in the formal variable q with integer coefficients.
 
     ``coeffs[i]`` holds the coefficient of ``q**i``.  The tuple is kept
@@ -27,10 +57,10 @@ class QPoly:
     QPoly('1 + 2*q + q^2')
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = int_tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        c = int_tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -45,6 +75,12 @@ class QPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         return p
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> QPoly:
@@ -340,19 +376,17 @@ def cyclotomic(n: int) -> QPoly:
     return phi[n]
 
 
-@dataclass(frozen=True)
-class CycloModulus:
+class CycloModulus(Frozen):
     """The quotient ring Z[q]/Phi_n(q), i.e. q as a primitive n-th root of unity."""
 
-    n: int
-    phi: QPoly = field(init=False)
+    __slots__ = ("n", "phi")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int):
+        if n < 2:
             raise ValueError("a primitive root of unity needs n >= 2")
-        # derived, never given: reduce() folds modulo q^n - 1 first, which is
-        # exact only for Phi_n
-        object.__setattr__(self, "phi", cyclotomic(self.n))
+        # phi is derived, never given: reduce() folds modulo q^n - 1 first,
+        # which is exact only for Phi_n
+        self._fill(n, cyclotomic(n))
 
     @classmethod
     def of(cls, n: int) -> CycloModulus:

@@ -21,24 +21,23 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator
 
-from .cyclo import ONE, ZERO, CycloModulus, QPoly
+from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly
 from .paths import EMPTY, Comp
 
 Generator = str | int  # "d", or an integer j standing for e_j
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """One normally ordered summand: coefficient * word * d^dpow."""
 
-    coeff: QPoly
-    mono: Comp
-    dpow: int
+    __slots__ = ("coeff", "mono", "dpow")
+
+    def __init__(self, coeff: QPoly, mono: Comp, dpow: int):
+        self._fill(coeff, mono, dpow)
 
 
 def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:
@@ -355,6 +354,9 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane and every
 # partial sum.  The lane is rounded up to whole 64-bit words so that
 # unpacking is one conversion to native words (one word holds n <= 19).
+# deformed_power keys its dict by the word alone: D^m is homogeneous of degree m
+# (d has degree 1, e_j degree j + 1, and the rewrite keeps degree), so a word w
+# of D^m stands for w * d^(m - deg w), and d's power is read off at the end.
 
 
 def _lane_bits(n: int) -> int:
@@ -398,17 +400,17 @@ def deformed_power(n: int) -> OperatorPoly:
     if n < 1:
         raise ValueError("n must be positive")
     lane = _lane_bits(n)
-    power = {((), 1): 1, ((0,), 0): 1}
+    power = {(): 1, (0,): 1}  # d and e_0, keyed by the word alone
     for _ in range(n - 1):
-        following: defaultdict[tuple[tuple[int, ...], int], int] = defaultdict(int)
-        for (word, dpow), x in power.items():
-            following[(0,) + word, dpow] += x
-            for moved, extra, e in _word_rewrite(word):
-                following[moved, dpow + extra] += x << (lane * e)
+        following: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for word, x in power.items():
+            following[(0,) + word] += x
+            for moved, _, e in _word_rewrite(word):
+                following[moved] += x << (lane * e)
         power = following
     _word_rewrite.cache_clear()
     return OperatorPoly(
-        {(Comp._trusted(word), dpow): _unpack_lanes(x, lane) for (word, dpow), x in power.items()}
+        {(Comp._trusted(w), n - sum(w) - len(w)): _unpack_lanes(x, lane) for w, x in power.items()}
     )
 
 

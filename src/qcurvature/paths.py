@@ -13,18 +13,16 @@ that serves the expansion, with enumeration its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from enum import Enum
 from functools import cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Mapping
 
-from .cyclo import ONE, ZERO, QPoly, int_tuple
+from .cyclo import ONE, ZERO, Frozen, QPoly, int_tuple
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Frozen):
     """A composition vector: finite tuple of nonnegative integers.
 
     It is also the word e_{s_1} * ... * e_{s_m}, where e_j stands for the
@@ -35,10 +33,10 @@ class Comp:
     expansions are conventionally written out.
     """
 
-    entries: tuple[int, ...] = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        e = int_tuple(self.entries)
+    def __init__(self, entries: tuple[int, ...] = ()):
+        e = int_tuple(entries)
         if any(x < 0 for x in e):
             raise ValueError("entries must be nonnegative")
         object.__setattr__(self, "entries", e)
@@ -49,6 +47,12 @@ class Comp:
         c = object.__new__(cls)
         object.__setattr__(c, "entries", entries)
         return c
+
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     # perfbench/child.py and perfbench/test_perfbench.py read word.comp.entries;
     # drop this once they read items() and text() (ROADMAP item 1)
@@ -227,15 +231,15 @@ class WeightRule(str, Enum):
         return s.prefix(i).total() + i - 1
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     """A weighted edge of the step digraph; weight is a single power of q."""
 
-    source: Comp
-    target: Comp
-    weight: QPoly
-    kind: str  # "prepend" | "stay" | "increment"
-    index: int | None = None  # 1-indexed entry for increments
+    __slots__ = ("source", "target", "weight", "kind", "index")
+
+    # kind is "prepend", "stay" or "increment"; index is the 1-indexed entry an increment raises
+    def __init__(self, source: Comp, target: Comp, weight: QPoly,
+                 kind: str, index: int | None = None):
+        self._fill(source, target, weight, kind, index)
 
 
 def successors(s: Comp, rule: WeightRule) -> list[Edge]:

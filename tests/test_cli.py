@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,8 +293,32 @@ class TestInternalErrors:
         assert err == "error: internal failure: RecursionError: maximum recursion depth exceeded while calling\n"
 
 
+# Runs one CLI call in process, then lists what it loaded of the modules
+# that each CLI call would otherwise pay for before any work.
+IMPORT_PROBE = """
+import io, sys
+import qcurvature.cli
+sys.stdout = io.StringIO()
+code = qcurvature.cli.run(["curvature", "--n", "6", "--mode", "root", "--format", "text"])
+out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+assert code == 0 and out.startswith("c[5] = 0\\nc[4] = 0\\n"), (code, out)
+print(sorted({"dataclasses", "typing", "inspect", "json"} & set(sys.modules)))
+"""
+
+
 class TestScriptedInvocations:
     """The exit-code contract exercised through real processes."""
+
+    def test_cli_call_loads_no_dataclasses_typing_inspect_or_json(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @staticmethod
     def script(*argv):
