@@ -506,7 +506,7 @@ def infinitesimal_coefficients(
     spine = [Comp(())] + [Comp((j,)) for j in range(n)]
     stay = [rule.stay_exponent(v) for v in spine]
     # the prepend step is weight 1; then raise the single entry j to j + 1
-    move = [0] + [rule.increment_exponent(Comp((j,)), 1) for j in range(n - 1)]
+    move = [0] + [rule.increment_exponents((j,))[0] for j in range(n - 1)]
     return InfinitesimalCoefficients(n, tuple(_spine_dp(n, stay, move)[1:]))
 
 

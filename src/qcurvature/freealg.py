@@ -10,17 +10,19 @@ Normal ordering moves every d to the right of every e_j.  Expanding powers
 of d + e_0 in this algebra (:func:`deformed_power`) and running the
 recursion M(n+1) = dM(n) + a*M(n) (:func:`maurer_cartan_element`) are the
 oracles against which the weighted-path model and the closed product formula
-are validated.  Both run iteratively on a flat dict of Kronecker-packed
+are validated.  Both run iteratively on flat lists indexed by an int code of
+each word (its entries as runs of zero bits, so that every rewrite is a bit
+operation and its power of q a bit position), holding Kronecker-packed
 coefficients, one int per coefficient with a 64-bit multiple of lane per
 power of q; the lane bound, (n+1)! after n steps, follows from the rewrite
-rule alone.  They share no packing code with the production route.  The
-general :class:`OperatorPoly` product is kept for arbitrary operators.
+rule alone.  Each word is decoded to a :class:`Comp` once, at the end.  They
+share no packing code with the production route.  The general
+:class:`OperatorPoly` product is kept for arbitrary operators.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from functools import cache
 from math import factorial
@@ -37,7 +39,9 @@ class Term(Frozen):
     __slots__ = ("coeff", "mono", "dpow")
 
     def __init__(self, coeff: QPoly, mono: Comp, dpow: int):
-        self._fill(coeff, mono, dpow)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "mono", mono)
+        object.__setattr__(self, "dpow", dpow)
 
 
 def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:
@@ -338,11 +342,25 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # packed oracles
 # ---------------------------------------------------------------------------
 #
-# deformed_power and maurer_cartan_element run their recursions on a flat
-# dict keyed by entries tuples.  A coefficient sum_e c_e q^e is packed as the
-# int sum_e c_e 2^(lane*e) (Kronecker substitution), so a shift by q^e is
-# x << (lane*e) and a sum of coefficients is one int addition.  Packing is
-# exact while every coefficient stays below 2^lane.
+# deformed_power and maurer_cartan_element run their recursions on flat lists
+# indexed by an int code of each word.  Read from bit 0 upwards, the code of
+# (s_1, ..., s_L) is s_1 zeros and a one, then s_2 zeros and a one, and so on,
+# with a leading one at bit D, the word's degree; the empty word is 1.  Entry
+# i thus starts at bit P_i, the degree to its left, which is the power of q
+# that d picks up on passing the factors before it, and every rewrite is a
+# bit operation:
+#   putting e_0 in front        (c << 1) | 1
+#   raising the entry at bit p  c + (c >> p << p), a zero inserted at bit p, weight q^p
+#   d passing the whole word    c itself, weight q^D with D = c.bit_length() - 1
+# Every nonempty word of degree D has a code in [2^D + 2^(D-1), 2^(D+1)): the
+# bit below the leading one closes the last entry.  So the words of degree
+# <= m index a list of 2^(m+1) slots, and each word is decoded to a Comp once,
+# at the end.
+#
+# A coefficient sum_e c_e q^e is packed as the int sum_e c_e 2^(lane*e)
+# (Kronecker substitution), so a shift by q^e is x << (lane*e) and a sum of
+# coefficients is one int addition.  Packing is exact while every coefficient
+# stays below 2^lane.
 #
 # The bound comes from the rewrite rule, not from any closed form.  A step
 # only ever adds q^e times an existing coefficient, so every coefficient is
@@ -354,9 +372,23 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane and every
 # partial sum.  The lane is rounded up to whole 64-bit words so that
 # unpacking is one conversion to native words (one word holds n <= 19).
-# deformed_power keys its dict by the word alone: D^m is homogeneous of degree m
-# (d has degree 1, e_j degree j + 1, and the rewrite keeps degree), so a word w
-# of D^m stands for w * d^(m - deg w), and d's power is read off at the end.
+# deformed_power keys its list by the word alone: D^m is homogeneous of degree
+# m (d has degree 1, e_j degree j + 1, and the rewrite keeps degree), so a word
+# w of D^m stands for w * d^(m - deg w), and d's power is read off at the end.
+
+
+def _code_word(code: int) -> tuple[int, ...]:
+    """The exponent vector of the word with code ``code``: its runs of zero bits.
+
+    >>> _code_word(0b11100)
+    (2, 0)
+    """
+    return tuple(map(len, bin(code)[:2:-1].split("1")[:-1]))
+
+
+def _codes(degree: int) -> range:
+    """The codes of every word of degree ``degree``; only 1 for degree 0."""
+    return range((3 << degree) >> 1, 2 << degree)
 
 
 def _lane_bits(n: int) -> int:
@@ -375,10 +407,12 @@ def _unpack_lanes(x: int, lane: int) -> QPoly:
     """
     width = lane // 64
     size = -(-x.bit_length() // lane) * lane // 8
-    words = memoryview(x.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+    words = memoryview(x.to_bytes(size, sys.byteorder)).cast("Q")
     if sys.byteorder == "big":
-        words.reverse()
-    lanes = words[::width]
+        words = words[::-1]
+    if width == 1:
+        return QPoly._trusted(tuple(words))
+    lanes = words[::width].tolist()
     for j in range(1, width):
         lanes = [low | high << (64 * j) for low, high in zip(lanes, words[j::width])]
     return QPoly._trusted(tuple(lanes))
@@ -388,11 +422,11 @@ def _unpack_lanes(x: int, lane: int) -> QPoly:
 def deformed_power(n: int) -> OperatorPoly:
     """Normal form of (d + e_0)^n over generic q.
 
-    Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients: e_0
-    prepends an entry and d is passed through each word by
-    :func:`_word_rewrite`, whose memo is cleared once the loop ends: it
-    holds every word of D^1, ..., D^(n-1), 2^(n-1) entries, and nothing
-    reads them after the call.  The pure d^n term is kept.
+    Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients, one list
+    slot per word code: e_0 prepends an entry, and d is pushed past the word
+    one factor at a time, raising the factor it meets with weight q to the
+    degree it has passed, or passing the whole word with weight q^deg.  The
+    pure d^n term is kept.
 
     >>> print(deformed_power(2))
     d^2 + (1+q)*a*d + d(a) + a^2
@@ -400,17 +434,28 @@ def deformed_power(n: int) -> OperatorPoly:
     if n < 1:
         raise ValueError("n must be positive")
     lane = _lane_bits(n)
-    power = {(): 1, (0,): 1}  # d and e_0, keyed by the word alone
-    for _ in range(n - 1):
-        following: defaultdict[tuple[int, ...], int] = defaultdict(int)
-        for word, x in power.items():
-            following[(0,) + word] += x
-            for moved, _, e in _word_rewrite(word):
-                following[moved] += x << (lane * e)
+    power = [0, 1, 0, 1]  # d (code 1, the empty word) and e_0 (code 0b11)
+    for m in range(1, n):
+        following = [0] * (4 << m)
+        for degree in range(m + 1):
+            top = 1 << degree
+            for c in _codes(degree):
+                x = power[c]
+                following[(c << 1) | 1] += x
+                passed, ends = 0, c ^ top  # d stands before the factor at bit `passed`
+                while ends:
+                    following[c + (c >> passed << passed)] += x << (lane * passed)
+                    end = ends & -ends
+                    ends ^= end
+                    passed = end.bit_length()
+                following[c] += x << (lane * degree)
         power = following
-    _word_rewrite.cache_clear()
     return OperatorPoly(
-        {(Comp._trusted(w), n - sum(w) - len(w)): _unpack_lanes(x, lane) for w, x in power.items()}
+        {
+            (Comp._trusted(_code_word(c)), n - degree): _unpack_lanes(power[c], lane)
+            for degree in range(n + 1)
+            for c in _codes(degree)
+        }
     )
 
 
@@ -419,13 +464,13 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     """The element obtained by applying the deformed differential n-1 times to a.
 
     Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n), run on
-    packed coefficients: dM raises each entry in turn, weighted by q to the
-    degree left of it (as :func:`q_derivative`), and a*M prepends an entry
-    (as :func:`multiply_by_a`).  Its reduction at an n-th root of unity is
-    the full obstruction to the deformed differential having vanishing n-th
-    power.  The curvature routes use the closed product formula for M(n)
-    instead; this recursion is the definition that formula is checked
-    against.
+    packed coefficients, one list slot per word code: dM raises each entry
+    in turn, weighted by q to the degree left of it (as :func:`q_derivative`),
+    and a*M prepends an entry (as :func:`multiply_by_a`).  Its reduction at an
+    n-th root of unity is the full obstruction to the deformed differential
+    having vanishing n-th power.  The curvature routes use the closed product
+    formula for M(n) instead; this recursion is the definition that formula
+    is checked against.
 
     >>> print(maurer_cartan_element(2))
     d(a) + a^2
@@ -433,16 +478,20 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     if n < 1:
         raise ValueError("n must be positive")
     lane = _lane_bits(n)
-    element = {(0,): 1}
-    for _ in range(n - 1):
-        following: defaultdict[tuple[int, ...], int] = defaultdict(int)
-        for word, x in element.items():
-            following[(0,) + word] += x
-            left_degree = 0
-            for i, entry in enumerate(word):
-                following[word[:i] + (entry + 1,) + word[i + 1 :]] += x << (lane * left_degree)
-                left_degree += entry + 1
+    element = [0, 0, 0, 1]  # a (code 0b11); M(m) holds words of degree m alone
+    for m in range(1, n):
+        following = [0] * (4 << m)
+        below = (1 << m) - 1  # the bits of a degree-m word under its leading one
+        for c in _codes(m):
+            x = element[c]
+            following[(c << 1) | 1] += x
+            starts = ((c << 1) | 1) & below  # bit p set where an entry starts
+            while starts:
+                start = starts & -starts
+                starts ^= start
+                left = start.bit_length() - 1
+                following[c + (c & -start)] += x << (lane * left)
         element = following
     return ElementPoly(
-        {Comp._trusted(word): _unpack_lanes(x, lane) for word, x in element.items()}
+        {Comp._trusted(_code_word(c)): _unpack_lanes(element[c], lane) for c in _codes(n)}
     )

@@ -13,7 +13,7 @@ that serves the expansion, with enumeration its oracle.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -92,7 +92,8 @@ class Comp(Frozen):
         return Comp._trusted((0,) + self.entries)
 
     def sort_key(self) -> tuple:
-        return (len(self.entries), tuple(reversed(self.entries)))
+        e = self.entries
+        return (len(e), e[::-1])
 
     def __lt__(self, other: Comp) -> bool:
         return self.sort_key() < other.sort_key()
@@ -225,10 +226,22 @@ class WeightRule(str, Enum):
     def stay_exponent(self, s: Comp) -> int:
         return s.degree()
 
-    def increment_exponent(self, s: Comp, i: int) -> int:
+    def increment_exponents(self, entries: tuple[int, ...]) -> Sequence[int]:
+        """The exponent of raising each entry of the vertex ``entries``, in order.
+
+        >>> list(WeightRule.LITERAL.increment_exponents((0, 1)))
+        [1, 2]
+        >>> WeightRule.PREFIX.increment_exponents((0, 1))
+        [0, 1]
+        """
         if self is WeightRule.LITERAL:
-            return s.total() + i - 1
-        return s.prefix(i).total() + i - 1
+            total = sum(entries)
+            return range(total, total + len(entries))
+        exponents, left = [], 0  # left: entries before position i, plus i - 1
+        for entry in entries:
+            exponents.append(left)
+            left += entry + 1
+        return exponents
 
 
 class Edge(Frozen):
@@ -242,18 +255,27 @@ class Edge(Frozen):
         self._fill(source, target, weight, kind, index)
 
 
+def _moves(s: Comp, rule: WeightRule) -> list[tuple[Comp, int]]:
+    """Target and exponent of each outgoing edge of s, in :func:`successors`' order."""
+    e = s.entries
+    moves = [(Comp._trusted((0,) + e), 0), (s, rule.stay_exponent(s))]
+    for i, exponent in enumerate(rule.increment_exponents(e)):
+        moves.append((Comp._trusted(e[:i] + (e[i] + 1,) + e[i + 1 :]), exponent))
+    return moves
+
+
 def successors(s: Comp, rule: WeightRule) -> list[Edge]:
     """All 2 + len(s) outgoing edges in deterministic order.
 
     Order: prepend, stay, then one increment per entry position.
     """
+    (prepended, _), (_, stay), *increments = _moves(s, rule)
     edges = [
-        Edge(s, s.prepended(), ONE, "prepend"),
-        Edge(s, s, QPoly.monomial(rule.stay_exponent(s)), "stay"),
+        Edge(s, prepended, ONE, "prepend"),
+        Edge(s, s, QPoly.monomial(stay), "stay"),
     ]
-    for i in range(1, len(s) + 1):
-        weight = QPoly.monomial(rule.increment_exponent(s, i))
-        edges.append(Edge(s, s.incremented(i), weight, "increment", i))
+    for i, (target, exponent) in enumerate(increments, start=1):
+        edges.append(Edge(s, target, QPoly.monomial(exponent), "increment", i))
     return edges
 
 
@@ -300,8 +322,8 @@ def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
         if remaining == 0:
             paths[vertex, e] = paths.get((vertex, e), 0) + 1
             continue
-        for edge in successors(vertex, rule):
-            stack.append((edge.target, remaining - 1, e + edge.weight.degree))
+        for target, exponent in _moves(vertex, rule):
+            stack.append((target, remaining - 1, e + exponent))
     totals: dict[Comp, QPoly] = {}
     for (vertex, e), count in paths.items():
         totals[vertex] = totals.get(vertex, ZERO) + QPoly.monomial(e, count)
@@ -328,9 +350,9 @@ def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]
     for _ in range(n):
         nxt: dict[Comp, QPoly] = {}
         for vertex, value in steps[-1].items():
-            for edge in successors(vertex, rule):
+            for target, exponent in _moves(vertex, rule):
                 # every weight is q^e with coefficient 1: multiplying is a shift
-                nxt[edge.target] = nxt.get(edge.target, ZERO) + value.shift(edge.weight.degree)
+                nxt[target] = nxt.get(target, ZERO) + value.shift(exponent)
         steps.append(nxt)
     return tuple(MappingProxyType(step) for step in steps)
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
+    _code_word,
+    _codes,
     _lane_bits,
     _unpack_lanes,
     _word_rewrite,
@@ -126,6 +128,8 @@ class TestDeformedPower:
             deformed_power(0)
 
     def test_leaves_no_rewrite_entries(self):
+        # the memo serves the general product; deformed_power adds nothing to it
+        _word_rewrite.cache_clear()
         deformed_power.cache_clear()
         deformed_power(12)
         assert _word_rewrite.cache_info().currsize == 0
@@ -142,6 +146,48 @@ class TestDeformedPower:
         assert len(terms) == 301
         assert terms[5] == ((0,) * 5 + (1,) + (0,) * 294, 0, 5)
         assert terms[-1] == ((0,) * 300, 1, 300)
+
+
+def spec_code(entries):
+    """The word code as specified: from bit 0 up, s_1 zeros and a one, s_2 zeros
+    and a one, ..., then a leading one at bit deg."""
+    bits = "".join("0" * s + "1" for s in entries)
+    return int("1" + bits[::-1], 2)
+
+
+class TestWordCode:
+    words = enumerate_vertices(12)  # every word of degree <= 12
+
+    def test_decode_returns_the_word(self):
+        for s in self.words:
+            assert _code_word(spec_code(s.entries)) == s.entries, s
+
+    def test_codes_of_a_degree_are_its_words(self):
+        for degree in range(13):
+            words = [s for s in self.words if s.degree() == degree]
+            assert sorted(spec_code(s.entries) for s in words) == list(_codes(degree))
+
+    def test_moves_on_codes_are_moves_on_words(self):
+        for s in self.words:
+            c = spec_code(s.entries)
+            assert _code_word((c << 1) | 1) == s.prepended().entries
+            left = 0  # P_i, the degree left of entry i: the bit where it starts
+            for i, entry in enumerate(s.entries, start=1):
+                assert _code_word(c + (c >> left << left)) == s.incremented(i).entries
+                assert c + (c & -(1 << left)) == c + (c >> left << left)
+                left += entry + 1
+            # d pushed past the word: a raised entry at its start bit, or the word kept at q^deg
+            for word, dpow, e in _word_rewrite.__wrapped__(s.entries):
+                if dpow:
+                    assert (word, e) == (s.entries, c.bit_length() - 1)
+                else:
+                    assert word == _code_word(c + (c >> e << e))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_d0_part_of_power_is_maurer_cartan_element(self, n):
+        # the two oracles share only the word code: D^n's d^0 part is M(n)
+        d0 = {t.mono: t.coeff for t in deformed_power(n).terms() if t.dpow == 0}
+        assert ElementPoly(d0) == maurer_cartan_element(n)
 
 
 class TestPacking:

@@ -130,6 +130,15 @@ class TestSuccessors:
                 assert e.weight.coeffs[-1] == 1
                 assert all(c == 0 for c in e.weight.coeffs[:-1])
 
+    @given(comps)
+    def test_increment_exponents_follow_the_rule_definitions(self, s):
+        # LITERAL charges |s| + i - 1 for raising entry i, PREFIX |s_<i| + i - 1
+        n = len(s) + 1
+        literal = [s.total() + i - 1 for i in range(1, n)]
+        prefix = [s.prefix(i).total() + i - 1 for i in range(1, n)]
+        assert list(WeightRule.LITERAL.increment_exponents(s.entries)) == literal
+        assert list(WeightRule.PREFIX.increment_exponents(s.entries)) == prefix
+
 
 class TestEnumerateVertices:
     def test_n1(self):
@@ -203,21 +212,19 @@ class TestPathSums:
                 assert all(s.total() + len(s) <= t for s in step), (n, rule, t)
             assert all(x < n for s in tables[n] for x in s.entries), (n, rule)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_dp_step_identity(self, n):
-        # step t+1 at v must equal the gathered sum over incoming edges
+        # the tables equal a replay from the empty vertex through successors'
+        # Edge objects, multiplying by each weight, so the two cannot drift
         for rule in WeightRule:
-            tables = forward_tables(n, rule)
-            for t in range(n):
+            replay = [{EMPTY: ONE}]
+            for _ in range(n):
                 gathered: dict = {}
-                for u, value in tables[t].items():
+                for u, value in replay[-1].items():
                     for e in successors(u, rule):
-                        if e.target.total() + len(e.target) > n:
-                            continue
-                        acc = gathered.get(e.target, ZERO) + value * e.weight
-                        gathered[e.target] = acc
-                gathered = {v: w for v, w in gathered.items() if not w.is_zero()}
-                assert gathered == dict(tables[t + 1])
+                        gathered[e.target] = gathered.get(e.target, ZERO) + value * e.weight
+                replay.append(gathered)
+            assert [dict(step) for step in forward_tables(n, rule)] == replay
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_path_counts_at_q_one(self, n):
