@@ -10,14 +10,17 @@ Normal ordering moves every d to the right of every e_j.  Expanding powers
 of d + e_0 in this algebra (:func:`deformed_power`) and running the
 recursion M(n+1) = dM(n) + a*M(n) (:func:`maurer_cartan_element`) are the
 oracles against which the weighted-path model and the closed product formula
-are validated.  Both run iteratively on flat lists indexed by an int code of
-each word (its entries as runs of zero bits, so that every rewrite is a bit
-operation and its power of q a bit position), holding Kronecker-packed
-coefficients, one int per coefficient with a 64-bit multiple of lane per
-power of q; the lane bound, (n+1)! after n steps, follows from the rewrite
-rule alone.  Each word is decoded to a :class:`Comp` once, at the end.  They
-share no packing code with the production route.  The general
-:class:`OperatorPoly` product is kept for arbitrary operators.
+are validated.  Both run iteratively on one list per degree, indexed by an
+int code of each word (its entries as runs of zero bits, so that every
+rewrite is a bit operation and its power of q a bit position), holding
+Kronecker-packed coefficients, one int per coefficient with a 64-bit multiple
+of lane per power of q; the lane bound, (n+1)! after n steps, follows from
+the rewrite rule alone.  Each kind of rewrite sends evenly spaced codes to
+evenly spaced codes, so a step is a few list-slice additions.  Each word is
+decoded to a :class:`Comp` once, at the end, from a table of the words of
+each degree built from the previous degree's, in canonical order.  They share
+no packing code with the production route.  The general :class:`OperatorPoly`
+product is kept for arbitrary operators.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache
+from itertools import repeat
 from math import factorial
+from operator import add, lshift
 
 from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly
 from .paths import EMPTY, Comp
@@ -342,20 +347,25 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # packed oracles
 # ---------------------------------------------------------------------------
 #
-# deformed_power and maurer_cartan_element run their recursions on flat lists
-# indexed by an int code of each word.  Read from bit 0 upwards, the code of
-# (s_1, ..., s_L) is s_1 zeros and a one, then s_2 zeros and a one, and so on,
-# with a leading one at bit D, the word's degree; the empty word is 1.  Entry
-# i thus starts at bit P_i, the degree to its left, which is the power of q
-# that d picks up on passing the factors before it, and every rewrite is a
-# bit operation:
-#   putting e_0 in front        (c << 1) | 1
-#   raising the entry at bit p  c + (c >> p << p), a zero inserted at bit p, weight q^p
-#   d passing the whole word    c itself, weight q^D with D = c.bit_length() - 1
-# Every nonempty word of degree D has a code in [2^D + 2^(D-1), 2^(D+1)): the
-# bit below the leading one closes the last entry.  So the words of degree
-# <= m index a list of 2^(m+1) slots, and each word is decoded to a Comp once,
-# at the end.
+# deformed_power and maurer_cartan_element run their recursions on one list
+# per degree, indexed by an int code of each word.  Read from bit 0 upwards,
+# the code of (s_1, ..., s_L) is s_1 zeros and a one, then s_2 zeros and a
+# one, and so on, with a leading one at bit D, the word's degree; the empty
+# word is 1.  Every nonempty word of degree D has a code in
+# [3 * 2^(D-1), 2^(D+1)): the bit below the leading one closes the last
+# entry.  So the offset j of a code in that range is its bits below D - 1,
+# and the block of degree D has 2^(D-1) slots.  Entry i starts at bit P_i,
+# the degree to its left, which is the power of q that d picks up on passing
+# the factors before it, and every rewrite is a bit operation on j:
+#   putting e_0 in front        j -> 2j + 1 in block D + 1
+#   raising the first entry     j -> 2j in block D + 1
+#   raising the entry at bit p  j -> 2j - (j mod 2^p) in block D + 1, weight q^p,
+#                               where 1 <= p < D and bit p - 1 of j is set
+#   d passing the whole word    j -> j in block D, weight q^D
+# Each move sends evenly spaced offsets to evenly spaced offsets, so a step
+# is a few list-slice additions whose per-element work runs in C.  Each
+# word is decoded to a Comp once, at the end, from a table of the words of
+# each degree built from the previous degree's, in canonical order.
 #
 # A coefficient sum_e c_e q^e is packed as the int sum_e c_e 2^(lane*e)
 # (Kronecker substitution), so a shift by q^e is x << (lane*e) and a sum of
@@ -372,23 +382,90 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane and every
 # partial sum.  The lane is rounded up to whole 64-bit words so that
 # unpacking is one conversion to native words (one word holds n <= 19).
-# deformed_power keys its list by the word alone: D^m is homogeneous of degree
-# m (d has degree 1, e_j degree j + 1, and the rewrite keeps degree), so a word
-# w of D^m stands for w * d^(m - deg w), and d's power is read off at the end.
+# deformed_power keys its blocks by the word alone: D^m is homogeneous of
+# degree m (d has degree 1, e_j degree j + 1, and the rewrite keeps degree),
+# so a word w of D^m stands for w * d^(m - deg w), and d's power is read off
+# at the end.
 
 
-def _code_word(code: int) -> tuple[int, ...]:
-    """The exponent vector of the word with code ``code``: its runs of zero bits.
+def _raising_moves(degree: int) -> list[tuple[int, slice, slice]]:
+    """The moves that raise an entry after the first, from block ``degree`` to the next.
 
-    >>> _code_word(0b11100)
-    (2, 0)
+    Each is ``(p, target slice, source slice)``, at weight q^p.  The entry at
+    bit p starts where bit p - 1 of the offset is set, so offset
+    a*2^p + 2^(p-1) + b, with b < 2^(p-1), goes to a*2^(p+1) + 2^(p-1) + b:
+    2^(p-1) slices strided over a, or 2^(degree-1-p) runs over b, whichever
+    are fewer.
+
+    >>> _raising_moves(3)
+    [(1, slice(1, None, 4), slice(1, None, 2)), (2, slice(2, 4, None), slice(2, 4, None))]
     """
-    return tuple(map(len, bin(code)[:2:-1].split("1")[:-1]))
+    count = (1 << degree) >> 1
+    moves = []
+    for p in range(1, degree):
+        step = 1 << p
+        half = step >> 1
+        if half <= count >> p:  # a slice for each b, here offset by 2^(p-1)
+            moves += [
+                (p, slice(b, None, 2 * step), slice(b, None, step)) for b in range(half, step)
+            ]
+        else:  # a run for each a, here a multiple of 2^p
+            moves += [
+                (p, slice(2 * a + half, 2 * a + step), slice(a + half, a + step))
+                for a in range(0, count, step)
+            ]
+    return moves
 
 
-def _codes(degree: int) -> range:
-    """The codes of every word of degree ``degree``; only 1 for degree 0."""
-    return range((3 << degree) >> 1, 2 << degree)
+def _add(target: list[int], source: list[int], moves: list, lane: int) -> None:
+    """Add each move's source slots, shifted by q^p, into its target slots."""
+    for p, t, s in moves:
+        target[t] = map(add, target[t], map(lshift, source[s], repeat(lane * p)))
+
+
+def _raised(block: list[int], moves: list, lane: int) -> list[int]:
+    """The next degree's block from ``block``: e_0 in front, or d raising an entry.
+
+    >>> _raised([1, 1], _raising_moves(2), 64) == [1, 1 + (1 << 64), 1, 1]  # M(3) from M(2)
+    True
+    """
+    following = [0] * (2 * len(block))
+    following[::2] = block  # the first entry raised, weight 1
+    following[1::2] = block  # e_0 in front, weight 1
+    _add(following, block, moves, lane)
+    return following
+
+
+def _next_words(words: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The words of degree D + 1 by offset, from those of degree D >= 1.
+
+    Offset 2j is word j with its first entry raised, offset 2j + 1 is word j
+    behind e_0.
+
+    >>> _next_words(_next_words([(0,)]))
+    [(2,), (0, 1), (1, 0), (0, 0, 0)]
+    """
+    following = [()] * (2 * len(words))
+    following[::2] = [(w[0] + 1,) + w[1:] for w in words]
+    following[1::2] = [(0,) + w for w in words]
+    return following
+
+
+def _decoded(
+    block: list[int], words: list[tuple[int, ...]], lane: int
+) -> Iterator[tuple[Comp, QPoly]]:
+    """The words of ``block`` and their coefficients, in canonical word order.
+
+    Within a degree that order is by length, the offset's popcount, then by
+    offset descending.  Each packed int is dropped once it is read.
+
+    >>> block, words = [1, 1 + (1 << 64), 1, 1], _next_words(_next_words([(0,)]))
+    >>> [(m.entries, c.coeffs) for m, c in _decoded(block, words, 64)]
+    [((2,), (1,)), ((1, 0), (1,)), ((0, 1), (1, 1)), ((0, 0, 0), (1,))]
+    """
+    for j in sorted(range(len(block) - 1, -1, -1), key=int.bit_count):
+        x, block[j] = block[j], 0
+        yield Comp._trusted(words[j]), _unpack_lanes(x, lane)
 
 
 def _lane_bits(n: int) -> int:
@@ -423,10 +500,11 @@ def deformed_power(n: int) -> OperatorPoly:
     """Normal form of (d + e_0)^n over generic q.
 
     Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients, one list
-    slot per word code: e_0 prepends an entry, and d is pushed past the word
-    one factor at a time, raising the factor it meets with weight q to the
-    degree it has passed, or passing the whole word with weight q^deg.  The
-    pure d^n term is kept.
+    per degree with one slot per word: e_0 prepends an entry, and d is pushed
+    past the word one factor at a time, raising the factor it meets with
+    weight q to the degree it has passed, or passing the whole word with
+    weight q^deg.  Each kind of move is a few list-slice additions.  The pure
+    d^n term is kept, and the terms come out in canonical order.
 
     >>> print(deformed_power(2))
     d^2 + (1+q)*a*d + d(a) + a^2
@@ -434,29 +512,25 @@ def deformed_power(n: int) -> OperatorPoly:
     if n < 1:
         raise ValueError("n must be positive")
     lane = _lane_bits(n)
-    power = [0, 1, 0, 1]  # d (code 1, the empty word) and e_0 (code 0b11)
+    moves = [_raising_moves(degree) for degree in range(n)]
+    power = [[1], [1]]  # by degree: d (the empty word) and e_0
     for m in range(1, n):
-        following = [0] * (4 << m)
-        for degree in range(m + 1):
-            top = 1 << degree
-            for c in _codes(degree):
-                x = power[c]
-                following[(c << 1) | 1] += x
-                passed, ends = 0, c ^ top  # d stands before the factor at bit `passed`
-                while ends:
-                    following[c + (c >> passed << passed)] += x << (lane * passed)
-                    end = ends & -ends
-                    ends ^= end
-                    passed = end.bit_length()
-                following[c] += x << (lane * degree)
+        # d^(m+1) keeps coefficient 1; e_0 is e_0 in front of d^m, or d passing e_0
+        following = [power[0], [1 + (power[1][0] << lane)]]
+        for degree in range(2, m + 2):
+            block = _raised(power[degree - 1], moves[degree - 1], lane)
+            if degree <= m:  # d passing the whole word
+                _add(block, power[degree], [(degree, slice(None), slice(None))], lane)
+            following.append(block)
         power = following
-    return OperatorPoly(
-        {
-            (Comp._trusted(_code_word(c)), n - degree): _unpack_lanes(power[c], lane)
-            for degree in range(n + 1)
-            for c in _codes(degree)
-        }
-    )
+    terms = {(EMPTY, n): ONE}
+    words = [(0,)]
+    for degree in range(1, n + 1):
+        if degree > 1:
+            words = _next_words(words)
+        for mono, coeff in _decoded(power[degree], words, lane):
+            terms[mono, n - degree] = coeff
+    return OperatorPoly(terms)
 
 
 @cache
@@ -464,13 +538,14 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     """The element obtained by applying the deformed differential n-1 times to a.
 
     Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n), run on
-    packed coefficients, one list slot per word code: dM raises each entry
-    in turn, weighted by q to the degree left of it (as :func:`q_derivative`),
-    and a*M prepends an entry (as :func:`multiply_by_a`).  Its reduction at an
-    n-th root of unity is the full obstruction to the deformed differential
-    having vanishing n-th power.  The curvature routes use the closed product
-    formula for M(n) instead; this recursion is the definition that formula
-    is checked against.
+    packed coefficients, one list slot per word of degree n: dM raises each
+    entry in turn, weighted by q to the degree left of it (as
+    :func:`q_derivative`), and a*M prepends an entry (as
+    :func:`multiply_by_a`), each kind of move a few list-slice additions.
+    Its reduction at an n-th root of unity is the full obstruction to the
+    deformed differential having vanishing n-th power.  The curvature routes
+    use the closed product formula for M(n) instead; this recursion is the
+    definition that formula is checked against.
 
     >>> print(maurer_cartan_element(2))
     d(a) + a^2
@@ -478,20 +553,8 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     if n < 1:
         raise ValueError("n must be positive")
     lane = _lane_bits(n)
-    element = [0, 0, 0, 1]  # a (code 0b11); M(m) holds words of degree m alone
+    element, words = [1], [(0,)]  # M(1) = a, the one word of degree 1
     for m in range(1, n):
-        following = [0] * (4 << m)
-        below = (1 << m) - 1  # the bits of a degree-m word under its leading one
-        for c in _codes(m):
-            x = element[c]
-            following[(c << 1) | 1] += x
-            starts = ((c << 1) | 1) & below  # bit p set where an entry starts
-            while starts:
-                start = starts & -starts
-                starts ^= start
-                left = start.bit_length() - 1
-                following[c + (c & -start)] += x << (lane * left)
-        element = following
-    return ElementPoly(
-        {Comp._trusted(_code_word(c)): _unpack_lanes(element[c], lane) for c in _codes(n)}
-    )
+        element = _raised(element, _raising_moves(m), lane)
+        words = _next_words(words)
+    return ElementPoly(dict(_decoded(element, words, lane)))

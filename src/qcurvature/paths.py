@@ -63,10 +63,6 @@ class Comp(Frozen):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def total(self) -> int:
-        """Sum of the entries."""
-        return sum(self.entries)
-
     def degree(self) -> int:
         """Degree of the word: each factor e_j has degree j + 1."""
         return sum(self.entries) + len(self.entries)
@@ -74,19 +70,6 @@ class Comp(Frozen):
     def __mul__(self, other: Comp) -> Comp:
         """Concatenation of words."""
         return Comp._trusted(self.entries + other.entries)
-
-    def prefix(self, i: int) -> Comp:
-        """Entries strictly before 1-indexed position i; prefix(1) is empty."""
-        if not 1 <= i <= len(self.entries) + 1:
-            raise IndexError(f"position {i} out of range")
-        return Comp._trusted(self.entries[: i - 1])
-
-    def incremented(self, i: int) -> Comp:
-        """Copy with 1-indexed entry i raised by one."""
-        if not 1 <= i <= len(self.entries):
-            raise IndexError(f"position {i} out of range")
-        e = self.entries
-        return Comp._trusted(e[: i - 1] + (e[i - 1] + 1,) + e[i:])
 
     def prepended(self) -> Comp:
         return Comp._trusted((0,) + self.entries)

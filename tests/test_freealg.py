@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
-    _code_word,
-    _codes,
+    _decoded,
     _lane_bits,
+    _next_words,
+    _raising_moves,
     _unpack_lanes,
     _word_rewrite,
     OperatorPoly,
@@ -123,6 +124,19 @@ class TestDeformedPower:
         # the right side multiplies through the general OperatorPoly product
         assert deformed_power(n) == (OperatorPoly.d() + OperatorPoly.e(0)) ** n
 
+    @pytest.mark.parametrize("n", range(10, 14))
+    def test_step_matches_general_product(self, n):
+        # one step through the general product, which shares no code with the slice kernel
+        step = OperatorPoly.d() + OperatorPoly.e(0)
+        assert deformed_power(n) == step * deformed_power(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_terms_stored_in_canonical_order(self, n):
+        power = deformed_power(n)
+        assert list(power._terms) == [(t.mono, t.dpow) for t in power.terms()]
+        element = maurer_cartan_element(n)
+        assert list(element._terms) == [mono for mono, _ in element.items()]
+
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             deformed_power(0)
@@ -155,25 +169,34 @@ def spec_code(entries):
     return int("1" + bits[::-1], 2)
 
 
+def word_tables(top):
+    """The word table of each degree 1..top, by offset, as the oracles build it."""
+    tables = {1: [(0,)]}
+    for degree in range(2, top + 1):
+        tables[degree] = _next_words(tables[degree - 1])
+    return tables
+
+
 class TestWordCode:
     words = enumerate_vertices(12)  # every word of degree <= 12
+    tables = word_tables(12)
 
-    def test_decode_returns_the_word(self):
-        for s in self.words:
-            assert _code_word(spec_code(s.entries)) == s.entries, s
-
-    def test_codes_of_a_degree_are_its_words(self):
-        for degree in range(13):
-            words = [s for s in self.words if s.degree() == degree]
-            assert sorted(spec_code(s.entries) for s in words) == list(_codes(degree))
+    def test_table_decodes_every_code(self):
+        # offset j of degree D stands for code 3 * 2^(D-1) + j
+        for degree, table in self.tables.items():
+            codes = range((3 << degree) >> 1, 2 << degree)
+            assert [spec_code(w) for w in table] == list(codes), degree
+            assert {s.entries for s in self.words if s.degree() == degree} == set(table)
 
     def test_moves_on_codes_are_moves_on_words(self):
         for s in self.words:
             c = spec_code(s.entries)
-            assert _code_word((c << 1) | 1) == s.prepended().entries
+            assert spec_code(s.prepended().entries) == (c << 1) | 1
             left = 0  # P_i, the degree left of entry i: the bit where it starts
-            for i, entry in enumerate(s.entries, start=1):
-                assert _code_word(c + (c >> left << left)) == s.incremented(i).entries
+            x = s.entries
+            for i, entry in enumerate(x, start=1):
+                raised = x[: i - 1] + (entry + 1,) + x[i:]
+                assert spec_code(raised) == c + (c >> left << left)
                 assert c + (c & -(1 << left)) == c + (c >> left << left)
                 left += entry + 1
             # d pushed past the word: a raised entry at its start bit, or the word kept at q^deg
@@ -181,7 +204,34 @@ class TestWordCode:
                 if dpow:
                     assert (word, e) == (s.entries, c.bit_length() - 1)
                 else:
-                    assert word == _code_word(c + (c >> e << e))
+                    assert spec_code(word) == c + (c >> e << e)
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_slices_are_the_raising_moves(self, degree):
+        # together the slices raise, exactly once, each entry after the first of every
+        # word: code c -> c + (c >> p << p) where an entry starts at bit p (bit p - 1 set)
+        count, low = 1 << (degree - 1), (3 << degree) >> 1  # offset j is code low + j
+        made = []
+        for p, t, s in _raising_moves(degree):
+            targets, sources = range(2 * count)[t], range(count)[s]
+            assert len(targets) == len(sources)
+            made += [(p, low + j, 2 * low + k) for j, k in zip(sources, targets)]
+        wanted = [
+            (p, c, c + (c >> p << p))
+            for p in range(1, degree)
+            for c in range(low, low + count)
+            if c >> (p - 1) & 1
+        ]
+        assert sorted(made) == wanted
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_decoded_in_canonical_order(self, degree):
+        table = self.tables[degree]
+        block = list(range(1, len(table) + 1))  # each offset's own coefficient
+        decoded = [(m.entries, c.coeffs) for m, c in _decoded(block, table, 64)]
+        expect = sorted((Comp(w).sort_key(), w, (j + 1,)) for j, w in enumerate(table))
+        assert decoded == [(w, coeffs) for _, w, coeffs in expect]
+        assert block == [0] * len(table)  # every packed int is dropped once read
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_d0_part_of_power_is_maurer_cartan_element(self, n):
@@ -253,7 +303,7 @@ class TestMaurerCartan:
         mc = maurer_cartan_element(n)
         assert mc.coefficient(Comp((0,) * n)) == ONE
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_recursion_soundness(self, n):
         mc = maurer_cartan_element(n)
         assert maurer_cartan_element(n + 1) == q_derivative(mc) + multiply_by_a(mc)
