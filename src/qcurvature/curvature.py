@@ -13,18 +13,20 @@ product formula by one walk in canonical word order (:func:`_closed_form_walk`),
 streamed by :func:`production_terms`.  :func:`expansion_terms` is the one
 place where a rule picks its route: the arbitrated rule reads that stream,
 and any other rule, which the power formula does not cover, reads the path
-model (:func:`path_expansion`, :func:`path_root_expansion`) in the same
-(k, terms) shape.  The library's expansions (:func:`generic_expansion`,
-:func:`root_of_unity_expansion`) and every CLI format read that one stream.
-The recursion defining M(k) (:func:`maurer_cartan_element`), the path model
-under the arbitrated rule and the operator expansion are oracles.
+model's stream (:func:`_path_terms`) in the same (k, terms) shape.  The
+library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`)
+and every CLI format read that one stream.  The recursion defining M(k)
+(:func:`maurer_cartan_element`), the path model under the arbitrated rule
+(gathered by :func:`path_expansion`, :func:`path_root_expansion`) and the
+operator expansion are oracles.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache, partial
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 from .cyclo import (
     ONE,
@@ -36,6 +38,7 @@ from .cyclo import (
     poly_from_coeffs,
     q_binomial,
     remainder_of_folded,
+    totient,
 )
 from .freealg import (
     ElementPoly,
@@ -50,6 +53,7 @@ from .paths import (
     WeightRule,
     WordStyle,
     _path_sums_enum,
+    _steps,
     enumerate_vertices,
     forward_tables,
     stay_count,
@@ -91,13 +95,10 @@ class CurvatureExpansion(Frozen):
     def as_operator(self) -> OperatorPoly:
         return _operator(self.c)
 
-    def blocks(self, words: Words, present: Callable[[QPoly], object]) -> Blocks:
-        """(k, terms) per power d^k, top down, in the shape of :func:`expansion_terms`."""
-        for k in range(self.n if self.mode == GENERIC else self.n - 1, -1, -1):
-            yield k, ((words.render(s.entries), present(c)) for s, c in self.coefficient(k).items())
-
     def to_json_dict(self) -> dict:
-        return expansion_json(self.n, self.mode, self.rule, self.blocks(Entries, coeffs_list))
+        blocks = ((k, ((s.entries, coeffs_list(c)) for s, c in self.c[k].items()))
+                  for k in self.powers())
+        return expansion_json(self.n, self.mode, self.rule, blocks)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CurvatureExpansion:
@@ -112,8 +113,10 @@ class CurvatureExpansion(Frozen):
             top = n if mode == GENERIC else n - 1
             # reject an unreduced coefficient at a root, and what would be
             # merged or dropped, so would not round-trip: a duplicate, an
-            # empty power, a zero coefficient or a trailing zero
-            bound = CycloModulus.of(n).phi.degree if mode == ROOT else None
+            # empty power, a zero coefficient or a trailing zero.  At a root,
+            # deg Phi_n = phi(n) >= sqrt(n / 2), so only a coefficient of
+            # degree isqrt(n // 2) or more needs phi(n), whose trial division
+            # then takes about as many steps as that coefficient has entries
             c: dict[int, ElementPoly] = {}
             for entry in data["c"]:
                 k = _json_int(entry["k"])
@@ -136,7 +139,8 @@ class CurvatureExpansion(Frozen):
                     coeff = poly_from_coeffs(listed)
                     if coeff.is_zero() or listed[-1] == 0:
                         raise ValueError(f"word {word} at k={k} has coefficient {list(listed)}")
-                    if bound is not None and coeff.degree >= bound:
+                    long = mode == ROOT and coeff.degree >= isqrt(n // 2)
+                    if long and coeff.degree >= totient(n):
                         raise ValueError(
                             f"word {word} at k={k} has coefficient {list(listed)}, "
                             f"not reduced mod Phi_{n}"
@@ -181,40 +185,47 @@ def _json_list(value: object) -> tuple:
     return tuple(value)
 
 
-def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Generic-mode expansion assembled from weighted path sums (an oracle).
+def _path_terms(
+    n: int, mode: str, final: Mapping[Comp, QPoly], words: Words = Entries,
+    present: Callable[[QPoly], object] = _identity,
+) -> Blocks:
+    """The path model's expansion of ``mode`` from ``final``, the dynamic
+    program's table n, in the shape of :func:`production_terms`.
 
     Every vertex reached in n steps contributes its path sum as the
     coefficient of its word, attached to d^(number of stay steps).  Every
     edge weight is a power of q, so no path sum of a reached vertex is zero.
+    At the root, d^n is gone and every coefficient is reduced modulo the
+    n-th cyclotomic polynomial; coefficients that vanish are skipped.
     """
+    reduce = CycloModulus.of(n).reduce if mode == ROOT else _identity
+    by_power: dict[int, list[Comp]] = {}
+    for s in final:
+        by_power.setdefault(stay_count(s, n), []).append(s)
+    for k in range(n if mode == GENERIC else n - 1, -1, -1):
+        found = sorted(by_power.pop(k, ()), key=Comp.sort_key)
+        values = ((s, reduce(final[s])) for s in found)
+        yield k, ((words.render(s.entries), present(c)) for s, c in values if c)
+
+
+def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
+    """Generic-mode expansion assembled from weighted path sums (an oracle):
+    :func:`_path_terms` over the kept table n of :func:`forward_tables`."""
     if n < 1:
         raise ValueError("n must be positive")
     rule = rule if rule is not None else resolve_default_rule()
-    c: dict[int, dict] = {}
-    for s, weight in forward_tables(n, rule)[n].items():
-        c.setdefault(stay_count(s, n), {})[s] = weight
-    coefficients = {k: ElementPoly(terms) for k, terms in sorted(c.items())}
-    return CurvatureExpansion(n=n, mode=GENERIC, rule=rule, c=coefficients)
+    final = forward_tables(n, rule)[n]
+    return CurvatureExpansion(n, GENERIC, rule, _gathered(_path_terms(n, GENERIC, final)))
 
 
 def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
-    """Expansion at a primitive n-th root of unity from the path model (an oracle).
-
-    Every coefficient of :func:`path_expansion` below d^n is reduced modulo
-    the n-th cyclotomic polynomial; coefficients that vanish are removed.
-    """
+    """Expansion at a primitive n-th root of unity from the path model (an
+    oracle): :func:`_path_terms` at the root, over the same kept table."""
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
     rule = rule if rule is not None else resolve_default_rule()
-    generic = path_expansion(n, rule)
-    modulus = CycloModulus.of(n)
-    c: dict[int, ElementPoly] = {}
-    for k in range(n):
-        reduced = generic.coefficient(k).reduce_mod(modulus)
-        if not reduced.is_zero():
-            c[k] = reduced
-    return CurvatureExpansion(n=n, mode=ROOT, rule=rule, c=c)
+    final = forward_tables(n, rule)[n]
+    return CurvatureExpansion(n, ROOT, rule, _gathered(_path_terms(n, ROOT, final)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +399,11 @@ def expansion_terms(
     """The expansion of ``mode`` under ``rule``, in the shape of :func:`production_terms`:
     the one place where a rule picks its route.  The power formula is a theorem
     about the oracle-arbitrated rule only; any other is read out of the path
-    model (:func:`path_expansion`, :func:`path_root_expansion`)."""
+    model (:func:`_path_terms`) over the dynamic program's last table, built
+    holding two tables at a time and kept nowhere."""
     if rule is resolve_default_rule():
         return production_terms(n, mode, words, present)
-    return (path_root_expansion if mode == ROOT else path_expansion)(n, rule).blocks(words, present)
+    return _path_terms(n, mode, deque(_steps(n, rule), maxlen=1)[0], words, present)
 
 
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:

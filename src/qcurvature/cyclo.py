@@ -355,6 +355,19 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
+def totient(n: int) -> int:
+    """Euler's phi(n), the degree of the n-th cyclotomic polynomial, by trial
+    division: at most sqrt(n) steps, where building Phi_n takes far more."""
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
 @cache
 def cyclotomic(n: int) -> QPoly:
     """The n-th cyclotomic polynomial, by exact division of q^n - 1.

@@ -54,7 +54,42 @@ def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:
     return (-dpow, mono.sort_key())
 
 
-class OperatorPoly:
+class _SparseSum:
+    """A finite sum of coefficient * key, zero coefficients dropped: what
+    :class:`OperatorPoly` and :class:`ElementPoly` share.  Results are built
+    as the class of ``self``, and a sum equals only a sum of its own class.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self._terms = {
+            key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()
+        }
+
+    def __add__(self, other: _SparseSum) -> _SparseSum:
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc[key] = acc.get(key, ZERO) + coeff
+        return type(self)(acc)
+
+    def scaled(self, factor: QPoly | int) -> _SparseSum:
+        if isinstance(factor, int):
+            factor = QPoly((factor,))
+        return type(self)({key: c * factor for key, c in self._terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    __hash__ = None  # mutable-container internals; equality is structural
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class OperatorPoly(_SparseSum):
     """Finite sum of coefficient * word * d^k in normal form.
 
     Zero coefficients are never stored; multiplication triggers normal
@@ -62,12 +97,7 @@ class OperatorPoly:
     convention: no method mutates, all return fresh objects.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[tuple[Comp, int], QPoly] | None = None):
-        self._terms = {
-            key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()
-        }
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------
 
@@ -99,17 +129,6 @@ class OperatorPoly:
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other: OperatorPoly) -> OperatorPoly:
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, ZERO) + coeff
-        return OperatorPoly(acc)
-
-    def scaled(self, factor: QPoly | int) -> OperatorPoly:
-        if isinstance(factor, int):
-            factor = QPoly((factor,))
-        return OperatorPoly({key: c * factor for key, c in self._terms.items()})
-
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         acc: dict[tuple[Comp, int], QPoly] = {}
         pushed = [other]  # pushed[k] is d^k * other, shared by every term with dpow k
@@ -129,21 +148,11 @@ class OperatorPoly:
             result = result * self
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # mutable-container internals; equality is structural
-
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
         terms = ((_operator_word(t.mono, t.dpow), t.coeff.compact()) for t in self.terms())
         return "".join(_sum_pieces(terms, "*"))
-
-    def __repr__(self) -> str:
-        return f"OperatorPoly('{self}')"
 
 
 def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
@@ -227,7 +236,7 @@ def normal_order(word: Iterable[Generator]) -> OperatorPoly:
     return result
 
 
-class ElementPoly:
+class ElementPoly(_SparseSum):
     """A formal element of the module: a finite sum of coefficient * word.
 
     Holds a map from word to coefficient with zero coefficients dropped.
@@ -235,12 +244,7 @@ class ElementPoly:
     Instances are immutable by convention, as :class:`OperatorPoly`.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Comp, QPoly] | None = None):
-        self._terms = {
-            mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero()
-        }
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> ElementPoly:
@@ -260,17 +264,6 @@ class ElementPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other: ElementPoly) -> ElementPoly:
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc[mono] = acc.get(mono, ZERO) + coeff
-        return ElementPoly(acc)
-
-    def scaled(self, factor: QPoly | int) -> ElementPoly:
-        if isinstance(factor, int):
-            factor = QPoly((factor,))
-        return ElementPoly({mono: c * factor for mono, c in self._terms.items()})
-
     def times_d_power(self, dpow: int) -> OperatorPoly:
         """The operator (this element) * d^dpow; already normally ordered."""
         if dpow < 0:
@@ -283,13 +276,6 @@ class ElementPoly:
     def reduce_mod(self, modulus: CycloModulus) -> ElementPoly:
         return ElementPoly({mono: modulus.reduce(c) for mono, c in self._terms.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ElementPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
     def __str__(self) -> str:
         return "".join(_sum_pieces(((m.text(), c.compact()) for m, c in self.items()), "*"))
 
@@ -300,9 +286,6 @@ class ElementPoly:
         '(1+q)d_M(a) + a^{2}'
         """
         return "".join(_sum_pieces(((m.latex(), c.latex()) for m, c in self.items()), ""))
-
-    def __repr__(self) -> str:
-        return f"ElementPoly('{self}')"
 
 
 def q_derivative(p: ElementPoly) -> ElementPoly:

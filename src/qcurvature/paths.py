@@ -13,7 +13,7 @@ that serves the expansion, with enumeration its oracle.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -318,26 +318,33 @@ def path_sum_enum(s: Comp, n: int, rule: WeightRule) -> QPoly:
     return _path_sums_enum(n, rule).get(s, ZERO)
 
 
-@cache
-def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]:
-    """Per-step accumulated weights of the forward dynamic program.
+def _steps(n: int, rule: WeightRule) -> Iterator[dict[Comp, QPoly]]:
+    """The step tables of the forward dynamic program, t = 0..n, each built
+    from the one before; a reader that keeps only the last holds two tables.
 
-    Entry t maps each vertex to the total weight of length-t paths from the
+    Table t maps each vertex to the total weight of length-t paths from the
     empty vertex.  Every edge raises entry sum + length by at most one, so
-    every vertex of entry t has entry sum + length <= t <= n, and no bound
+    every vertex of table t has entry sum + length <= t <= n, and no bound
     on the vertices is needed.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    steps: list[dict[Comp, QPoly]] = [{EMPTY: ONE}]
+    step: dict[Comp, QPoly] = {EMPTY: ONE}
+    yield step
     for _ in range(n):
         nxt: dict[Comp, QPoly] = {}
-        for vertex, value in steps[-1].items():
+        for vertex, value in step.items():
             for target, exponent in _moves(vertex, rule):
                 # every weight is q^e with coefficient 1: multiplying is a shift
                 nxt[target] = nxt.get(target, ZERO) + value.shift(exponent)
-        steps.append(nxt)
-    return tuple(MappingProxyType(step) for step in steps)
+        step = nxt
+        yield step
+
+
+@cache
+def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]:
+    """Every step table of the forward dynamic program (:func:`_steps`), kept."""
+    return tuple(MappingProxyType(step) for step in _steps(n, rule))
 
 
 def path_sum_dp(s: Comp, n: int, rule: WeightRule) -> QPoly:

@@ -12,13 +12,14 @@ import qcurvature.cli as cli
 from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
+    expansion_terms,
     path_expansion,
-    path_root_expansion,
     resolve_default_rule,
     root_of_unity_expansion,
 )
-from qcurvature.cyclo import q_number
-from qcurvature.paths import WeightRule
+from qcurvature.cyclo import CycloModulus, q_number
+from qcurvature.freealg import ElementPoly
+from qcurvature.paths import WeightRule, forward_tables, stay_count
 
 
 def invoke(capsys, *argv):
@@ -107,21 +108,37 @@ class TestCurvatureCommand:
         assert "error" in err
 
 
+def path_model(n, mode, rule):
+    """The path model's expansion, built here from the dynamic program's
+    table n alone: c[k] gathers the words reached with k stays, each
+    coefficient reduced mod Phi_n at the root, where d^n is gone; vanished
+    coefficients are dropped."""
+    by_power = {}
+    for s, weight in forward_tables(n, rule)[n].items():
+        by_power.setdefault(stay_count(s, n), {})[s] = weight
+    if mode == "root":
+        reduce = CycloModulus.of(n).reduce
+        by_power = {k: {s: reduce(w) for s, w in terms.items()}
+                    for k, terms in by_power.items() if k < n}
+    c = {k: ElementPoly(terms) for k, terms in by_power.items()}
+    return CurvatureExpansion(n, mode, rule, {k: e for k, e in c.items() if not e.is_zero()})
+
+
 class TestStreamedCurvature:
-    """Every format reads one stream; each must equal the path-model oracle's expansion.
+    """Every format reads one stream; each must equal the path model, built in the test.
 
     Under the arbitrated rule the production route and the path model are
     two routes whose equality ``verify`` proves; under any other rule the
-    stream reads the path model itself.
+    stream reads the path model's own stream, so the expected side is
+    built from the dynamic program's last table, not from that stream.
     """
 
     @pytest.mark.parametrize("rule", ["default", "literal", "prefix"])
     @pytest.mark.parametrize("mode", ["generic", "root"])
     def test_stream_equals_path_model(self, capsys, mode, rule):
-        expand = path_root_expansion if mode == "root" else path_expansion
         weight_rule = resolve_default_rule() if rule == "default" else WeightRule(rule)
         for n in range(2, 13):
-            expansion = expand(n, weight_rule)
+            expansion = path_model(n, mode, weight_rule)
             powers = range(n - 1 if mode == "root" else n, -1, -1)
             text = "".join(f"c[{k}] = {expansion.coefficient(k)}\n" for k in powers)
             latex = "".join(f"c_{{{k}}} = {expansion.coefficient(k).latex()}\n" for k in powers)
@@ -133,6 +150,15 @@ class TestStreamedCurvature:
                     assert CurvatureExpansion.from_json_dict(json.loads(out)) == expansion, n
                 else:
                     assert out == (text if fmt == "text" else latex), (n, fmt)
+
+    @pytest.mark.parametrize("mode", ["generic", "root"])
+    def test_other_rule_keeps_no_step_table(self, mode):
+        assert resolve_default_rule() is not WeightRule.LITERAL
+        forward_tables.cache_clear()
+        for _, terms in expansion_terms(9, mode, WeightRule.LITERAL):
+            for _ in terms:
+                pass
+        assert forward_tables.cache_info().currsize == 0
 
 
 class TestOtherCommands:

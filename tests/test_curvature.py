@@ -409,6 +409,25 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             CurvatureExpansion.from_json_dict({"n": 2, "mode": "root", "rule": "prefix", "c": c})
 
+    def test_short_payload_at_large_n_parses_quickly(self):
+        # building Phi_30030 takes tens of seconds, and an empty payload needs none of it
+        start = time.perf_counter()
+        parsed = CurvatureExpansion.from_json_dict(
+            {"n": 30030, "mode": "root", "rule": "prefix", "c": []}
+        )
+        assert time.perf_counter() - start < 1
+        assert parsed.c == {}
+
+    def test_reduced_bound_at_large_n(self):
+        # deg Phi_30030 = phi(30030) = 5760: degree 5759 is reduced, 5760 is not
+        def payload(degree):
+            term = {"s": [30029], "coeff": [0] * degree + [1]}
+            return {"n": 30030, "mode": "root", "rule": "prefix", "c": [{"k": 0, "terms": [term]}]}
+
+        assert not CurvatureExpansion.from_json_dict(payload(5759)).coefficient(0).is_zero()
+        with pytest.raises(ValueError, match="not reduced"):
+            CurvatureExpansion.from_json_dict(payload(5760))
+
 
 class TestWordType:
     """A word is a Comp everywhere: in the algebra, the path model and the output."""

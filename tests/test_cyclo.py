@@ -8,6 +8,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import qcurvature.cyclo as cyclo
 from qcurvature.cyclo import (
     ONE,
     ZERO,
@@ -234,6 +235,11 @@ class TestCyclotomic:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_modulus_kills_q_number_n(self, n):
         assert reduce(q_number(n), CycloModulus.of(n)) == ZERO
+
+    def test_trial_division_totient_is_the_degree(self):
+        assert [cyclo.totient(n) for n in range(1, 301)] == [
+            cyclotomic(n).degree for n in range(1, 301)
+        ]
 
     def test_builds_divisors_without_calling_itself(self):
         # every divisor's Phi is built locally, so only the call itself is cached
