@@ -23,7 +23,6 @@ operator expansion are oracles.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache, partial
 from math import comb, factorial, isqrt
@@ -52,10 +51,10 @@ from .paths import (
     Entries,
     WeightRule,
     WordStyle,
+    _last_table,
     _path_sums_enum,
     _steps,
     enumerate_vertices,
-    forward_tables,
     stay_count,
 )
 
@@ -208,24 +207,27 @@ def _path_terms(
         yield k, ((words.render(s.entries), present(c)) for s, c in values if c)
 
 
+def _path_model(n: int, mode: str, rule: WeightRule, final: Mapping) -> CurvatureExpansion:
+    """The path model's expansion of ``mode``, gathered from :func:`_path_terms` over ``final``."""
+    return CurvatureExpansion(n, mode, rule, _gathered(_path_terms(n, mode, final)))
+
+
 def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion assembled from weighted path sums (an oracle):
-    :func:`_path_terms` over the kept table n of :func:`forward_tables`."""
+    :func:`_path_model` over the dynamic program's table n (:func:`_last_table`)."""
     if n < 1:
         raise ValueError("n must be positive")
     rule = rule if rule is not None else resolve_default_rule()
-    final = forward_tables(n, rule)[n]
-    return CurvatureExpansion(n, GENERIC, rule, _gathered(_path_terms(n, GENERIC, final)))
+    return _path_model(n, GENERIC, rule, _last_table(n, rule))
 
 
 def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Expansion at a primitive n-th root of unity from the path model (an
-    oracle): :func:`_path_terms` at the root, over the same kept table."""
+    oracle): :func:`_path_model` at the root, over the same last table."""
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
     rule = rule if rule is not None else resolve_default_rule()
-    final = forward_tables(n, rule)[n]
-    return CurvatureExpansion(n, ROOT, rule, _gathered(_path_terms(n, ROOT, final)))
+    return _path_model(n, ROOT, rule, _last_table(n, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +401,11 @@ def expansion_terms(
     """The expansion of ``mode`` under ``rule``, in the shape of :func:`production_terms`:
     the one place where a rule picks its route.  The power formula is a theorem
     about the oracle-arbitrated rule only; any other is read out of the path
-    model (:func:`_path_terms`) over the dynamic program's last table, built
-    holding two tables at a time and kept nowhere."""
+    model (:func:`_path_terms`) over the dynamic program's last table
+    (:func:`_last_table`), built holding two tables at a time and kept nowhere."""
     if rule is resolve_default_rule():
         return production_terms(n, mode, words, present)
-    return _path_terms(n, mode, deque(_steps(n, rule), maxlen=1)[0], words, present)
+    return _path_terms(n, mode, _last_table(n, rule), words, present)
 
 
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
@@ -516,7 +518,7 @@ def infinitesimal_coefficients(
         raise ValueError("n must be at least 2")
     rule = rule if rule is not None else resolve_default_rule()
     spine = [Comp(())] + [Comp((j,)) for j in range(n)]
-    stay = [rule.stay_exponent(v) for v in spine]
+    stay = [v.degree() for v in spine]
     # the prepend step is weight 1; then raise the single entry j to j + 1
     move = [0] + [rule.increment_exponents((j,))[0] for j in range(n - 1)]
     return InfinitesimalCoefficients(n, tuple(_spine_dp(n, stay, move)[1:]))
@@ -600,8 +602,9 @@ ARBITRATION_N_MAX = 6
 
 
 def _oracle_rows(rule: WeightRule, n_max: int) -> Iterator[CheckResult]:
-    """The oracle-equivalence rows of ``rule`` for n = 2..n_max, built as they are read."""
-    return (_check_oracle_equivalence(n, rule) for n in range(2, n_max + 1))
+    """The oracle-equivalence rows of ``rule``, n = 2..n_max, built as read off one DP pass."""
+    tables = enumerate(_steps(n_max, rule))
+    return (_check_oracle_equivalence(n, rule, table) for n, table in tables if n >= 2)
 
 
 def _arbitrate(rows: dict[WeightRule, Iterable[CheckResult]]) -> dict[WeightRule, dict | None]:
@@ -783,8 +786,9 @@ def _operator_difference(
     return {"n": n, "s": list(mono.entries), "dpow": dpow, **values}
 
 
-def _check_oracle_equivalence(n: int, rule: WeightRule) -> CheckResult:
-    difference = _operator_difference(n, path_expansion(n, rule).as_operator(), deformed_power(n))
+def _check_oracle_equivalence(n: int, rule: WeightRule, final: Mapping[Comp, QPoly]) -> CheckResult:
+    path = _path_model(n, GENERIC, rule, final).as_operator()
+    difference = _operator_difference(n, path, deformed_power(n))
     return _row("oracle-equivalence", n, rule, difference)
 
 
@@ -832,8 +836,7 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
 
 def _check_dp_enum(n: int) -> CheckResult:
     for rule in WeightRule:
-        dp, enum = forward_tables(n, rule)[n], _path_sums_enum(n, rule)
-        found = _first_difference(dp, enum, Comp.sort_key)
+        found = _first_difference(_last_table(n, rule), _path_sums_enum(n, rule), Comp.sort_key)
         if found is not None:
             s, a, b = found
             bad = {
@@ -912,7 +915,8 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     selected = rule if rule is not None else (passing[0] if len(passing) == 1 else WeightRule.PREFIX)
 
     ns = range(2, n_max + 1)
-    path_roots = [path_root_expansion(n, selected) for n in ns]
+    tables = enumerate(_steps(n_max, selected))  # one more pass, for the root rows
+    path_roots = [_path_model(n, ROOT, selected, table) for n, table in tables if n >= 2]
     checks.extend(_check_maurer_cartan(path_root) for path_root in path_roots)
     checks.extend(_check_binomial_formula(n) for n in ns)
     checks.extend(_check_infinitesimal(n, selected) for n in ns)

@@ -8,11 +8,13 @@ length-n paths from the empty vertex are computed both by explicit
 enumeration and by forward dynamic programming.  Under the oracle-arbitrated
 weight rule both are oracles for the q-binomial power formula, the
 production route; under any other rule the dynamic program is the route
-that serves the expansion, with enumeration its oracle.
+that serves the expansion, with enumeration its oracle.  Every reader
+streams the dynamic program's step tables, two live (:func:`_steps`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import cache
@@ -206,9 +208,6 @@ class WeightRule(str, Enum):
     LITERAL = "literal"
     PREFIX = "prefix"
 
-    def stay_exponent(self, s: Comp) -> int:
-        return s.degree()
-
     def increment_exponents(self, entries: tuple[int, ...]) -> Sequence[int]:
         """The exponent of raising each entry of the vertex ``entries``, in order.
 
@@ -241,7 +240,7 @@ class Edge(Frozen):
 def _moves(s: Comp, rule: WeightRule) -> list[tuple[Comp, int]]:
     """Target and exponent of each outgoing edge of s, in :func:`successors`' order."""
     e = s.entries
-    moves = [(Comp._trusted((0,) + e), 0), (s, rule.stay_exponent(s))]
+    moves = [(Comp._trusted((0,) + e), 0), (s, s.degree())]
     for i, exponent in enumerate(rule.increment_exponents(e)):
         moves.append((Comp._trusted(e[:i] + (e[i] + 1,) + e[i + 1 :]), exponent))
     return moves
@@ -341,12 +340,17 @@ def _steps(n: int, rule: WeightRule) -> Iterator[dict[Comp, QPoly]]:
         yield step
 
 
+def _last_table(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
+    """Table n of the forward dynamic program: :func:`_steps`, two tables live."""
+    return deque(_steps(n, rule), maxlen=1)[0]
+
+
 @cache
 def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]:
-    """Every step table of the forward dynamic program (:func:`_steps`), kept."""
+    """Each table of :func:`_steps`, kept: the public all-steps view; the package reads none."""
     return tuple(MappingProxyType(step) for step in _steps(n, rule))
 
 
 def path_sum_dp(s: Comp, n: int, rule: WeightRule) -> QPoly:
-    """Same value as :func:`path_sum_enum`, by forward dynamic programming."""
-    return forward_tables(n, rule)[n].get(s, ZERO)
+    """Same value as :func:`path_sum_enum`, from :func:`_last_table`."""
+    return _last_table(n, rule).get(s, ZERO)

@@ -270,6 +270,12 @@ class TestArgumentErrors:
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2
 
+    @pytest.mark.parametrize("command", ["curvature", "cq", "verify"])
+    def test_non_integer_n(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--n", "abc")
+        assert (code, out) == (2, "")
+        assert "not an integer: 'abc'" in err
+
     def test_verify_rejects_mode(self, capsys):
         code, out, err = invoke(capsys, "verify", "--n", "3", "--mode", "root")
         assert (code, out) == (2, "")

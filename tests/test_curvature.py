@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qcurvature.curvature as curvature
+import qcurvature.paths as paths
 from qcurvature.curvature import (
     COMPOSITION_SUM_READINGS,
     CurvatureExpansion,
@@ -540,7 +541,9 @@ class TestArbitrationAndVerify:
         real = curvature._check_oracle_equivalence
         calls = []
         monkeypatch.setattr(
-            curvature, "_check_oracle_equivalence", lambda n, rule: calls.append(n) or real(n, rule)
+            curvature,
+            "_check_oracle_equivalence",
+            lambda n, rule, final: calls.append(n) or real(n, rule, final),
         )
         resolve_default_rule.cache_clear()
         try:
@@ -629,15 +632,15 @@ class TestArbitrationAndVerify:
     def test_stray_power_fails_maurer_cartan_at_its_dpow(self, monkeypatch):
         # maurer-cartan compares whole operators, so a coefficient of d^2
         # that should have vanished at the root is the first difference
-        real = curvature.path_root_expansion
+        real = curvature._path_model
 
-        def stray(n, rule=None):
-            right = real(n, rule)
-            if n != 4:
+        def stray(n, mode, rule, final):
+            right = real(n, mode, rule, final)
+            if (n, mode) != (4, "root"):
                 return right
             return CurvatureExpansion(n, right.mode, right.rule, {**right.c, 2: ElementPoly.from_word(0, 0)})
 
-        monkeypatch.setattr(curvature, "path_root_expansion", stray)
+        monkeypatch.setattr(curvature, "_path_model", stray)
         report = verify_suite(4)
         failing = {(c.check, c.n): c.counterexample for c in report.checks if not c.passed() and c.rule != "literal"}
         assert set(failing) == {("maurer-cartan", 4), ("reduction-commutes", 4)}
@@ -655,9 +658,9 @@ class TestArbitrationAndVerify:
         calls = []
         real = curvature._check_oracle_equivalence
 
-        def counted(n, rule):
+        def counted(n, rule, final):
             calls.append((n, rule))
-            return real(n, rule)
+            return real(n, rule, final)
 
         monkeypatch.setattr(curvature, "_check_oracle_equivalence", counted)
         assert verify_suite(8).passed
@@ -667,9 +670,9 @@ class TestArbitrationAndVerify:
         calls = []
         real = curvature._check_oracle_equivalence
 
-        def counted(n, rule):
+        def counted(n, rule, final):
             calls.append((n, rule))
-            return real(n, rule)
+            return real(n, rule, final)
 
         monkeypatch.setattr(curvature, "_check_oracle_equivalence", counted)
         resolve_default_rule.cache_clear()
@@ -683,15 +686,56 @@ class TestArbitrationAndVerify:
     def test_verify_builds_each_path_root_once(self, monkeypatch):
         # maurer-cartan and reduction-commutes share one path root per n
         calls = []
-        real = curvature.path_root_expansion
+        real = curvature._path_model
 
-        def counted(n, rule=None):
-            calls.append(n)
-            return real(n, rule)
+        def counted(n, mode, rule, final):
+            if mode == "root":
+                calls.append(n)
+            return real(n, mode, rule, final)
 
-        monkeypatch.setattr(curvature, "path_root_expansion", counted)
+        monkeypatch.setattr(curvature, "_path_model", counted)
         assert verify_suite(6).passed
         assert sorted(calls) == [2, 3, 4, 5, 6]
+
+    def test_cold_runs_build_few_step_tables(self, monkeypatch):
+        # each rule's oracle rows read one pass of the dynamic program, the
+        # root rows one more; only dp-vs-enum runs a pass per n (n <= 5)
+        real = paths._steps
+        built = []
+
+        def counted(n, rule):
+            for t, table in enumerate(real(n, rule)):
+                built.append((t, rule))
+                yield table
+
+        monkeypatch.setattr(paths, "_steps", counted)
+        monkeypatch.setattr(curvature, "_steps", counted)
+        resolve_default_rule.cache_clear()
+        try:
+            assert verify_suite(12).passed
+            assert len(built) <= 2 * 13 + 13 + 2 * (3 + 4 + 5 + 6)
+            built.clear()
+            resolve_default_rule.cache_clear()
+            assert resolve_default_rule() is PREFIX
+            # literal stops at its first failure, table 3; prefix reads tables 0..6
+            assert len(built) <= 4 + 7
+        finally:
+            resolve_default_rule.cache_clear()
+
+    def test_no_route_fills_the_all_steps_cache(self, capsys):
+        # forward_tables is the public all-steps view; nothing in the package reads it
+        forward_tables.cache_clear()
+        resolve_default_rule.cache_clear()
+        try:
+            assert verify_suite(6).passed
+            assert resolve_default_rule() is PREFIX
+            path_expansion(5)
+            path_root_expansion(5)
+            assert run(["cq", "--s", "0,1", "--n", "6", "--rule", "literal"]) == 0
+        finally:
+            resolve_default_rule.cache_clear()
+        capsys.readouterr()
+        assert forward_tables.cache_info().currsize == 0
 
     def test_first_difference_reads_a_missing_key_as_zero(self):
         first = curvature._first_difference
