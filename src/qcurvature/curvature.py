@@ -601,10 +601,9 @@ def infinitesimal_composition_sum(
 ARBITRATION_N_MAX = 6
 
 
-def _oracle_rows(rule: WeightRule, n_max: int) -> Iterator[CheckResult]:
-    """The oracle-equivalence rows of ``rule``, n = 2..n_max, built as read off one DP pass."""
-    tables = enumerate(_steps(n_max, rule))
-    return (_check_oracle_equivalence(n, rule, table) for n, table in tables if n >= 2)
+def _oracle_rows(rule: WeightRule, tables: Iterable[Mapping[Comp, QPoly]]) -> Iterator[CheckResult]:
+    """The oracle-equivalence rows of ``rule``, one per table n >= 2 of a DP pass, built as read."""
+    return (_check_oracle_equivalence(n, rule, table) for n, table in enumerate(tables) if n >= 2)
 
 
 def _arbitrate(rows: dict[WeightRule, Iterable[CheckResult]]) -> dict[WeightRule, dict | None]:
@@ -629,7 +628,7 @@ def resolve_default_rule() -> WeightRule:
     expansion for n = 2..ARBITRATION_N_MAX; that one is the shipped default.
     """
     # lazy rows, so each rule stops at its first failure
-    first_failure = _arbitrate({rule: _oracle_rows(rule, ARBITRATION_N_MAX) for rule in WeightRule})
+    first_failure = _arbitrate({r: _oracle_rows(r, _steps(ARBITRATION_N_MAX, r)) for r in WeightRule})
     passing = [rule for rule, bad in first_failure.items() if bad is None]
     if len(passing) != 1:
         raise RuntimeError(f"rule arbitration did not single out one rule: {passing}")
@@ -834,9 +833,10 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
     return _row("infinitesimal", n, rule, bad)
 
 
-def _check_dp_enum(n: int) -> CheckResult:
-    for rule in WeightRule:
-        found = _first_difference(_last_table(n, rule), _path_sums_enum(n, rule), Comp.sort_key)
+def _check_dp_enum(n: int, tables: Mapping[WeightRule, Mapping[Comp, QPoly]]) -> CheckResult:
+    """Each rule's table n of its DP pass, in ``tables``, against its paths enumerated."""
+    for rule, table in tables.items():
+        found = _first_difference(table, _path_sums_enum(n, rule), Comp.sort_key)
         if found is not None:
             s, a, b = found
             bad = {
@@ -895,12 +895,13 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
         raise ValueError("n_max must be at least 2")
     requested = rule.value if rule is not None else "default"
 
-    # each rule's oracle-equivalence rows are built once, far enough for the
-    # report and for the arbitration, which always reads its full fixed
-    # range, so a shallow report (small n_max) still selects the same rule
-    oracle_rows = {r: list(_oracle_rows(r, max(n_max, ARBITRATION_N_MAX))) for r in WeightRule}
-    checks = [row for rows in oracle_rows.values() for row in rows if row.n <= n_max]
-
+    # One DP pass per rule, as far as the report and the arbitration read: the
+    # arbitration always reads its full fixed range, so a shallow report (small
+    # n_max) still selects the same rule.  Tables 0..ARBITRATION_N_MAX, of at
+    # most 2^6 vertices each, are kept; past them each pass holds two tables.
+    passes = {r: _steps(max(n_max, ARBITRATION_N_MAX), r) for r in WeightRule}
+    kept = {r: [next(tables) for _ in range(ARBITRATION_N_MAX + 1)] for r, tables in passes.items()}
+    oracle_rows = {r: list(_oracle_rows(r, tables)) for r, tables in kept.items()}
     first_failure = _arbitrate(oracle_rows)
     passing = [r for r, bad in first_failure.items() if bad is None]
     failing = [r for r in first_failure if r not in passing]
@@ -910,17 +911,23 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
         "counterexample": first_failure[failing[0]] if len(failing) == 1 else None,
     }
     unsettled = None if len(passing) == 1 else arbitration
-    checks.append(_row("weight-rule-arbitration", ARBITRATION_N_MAX, None, unsettled))
 
     selected = rule if rule is not None else (passing[0] if len(passing) == 1 else WeightRule.PREFIX)
 
     ns = range(2, n_max + 1)
-    tables = enumerate(_steps(n_max, selected))  # one more pass, for the root rows
-    path_roots = [_path_model(n, ROOT, selected, table) for n, table in tables if n >= 2]
+    # the rest of each pass gives its oracle rows, and the selected rule's root rows
+    path_roots = [_path_model(n, ROOT, selected, kept[selected][n]) for n in ns if n <= ARBITRATION_N_MAX]
+    for r, tables in passes.items():
+        for n, table in enumerate(tables, start=ARBITRATION_N_MAX + 1):
+            oracle_rows[r].append(_check_oracle_equivalence(n, r, table))
+            if r is selected:
+                path_roots.append(_path_model(n, ROOT, selected, table))
+    checks = [row for rows in oracle_rows.values() for row in rows if row.n <= n_max]
+    checks.append(_row("weight-rule-arbitration", ARBITRATION_N_MAX, None, unsettled))
     checks.extend(_check_maurer_cartan(path_root) for path_root in path_roots)
     checks.extend(_check_binomial_formula(n) for n in ns)
     checks.extend(_check_infinitesimal(n, selected) for n in ns)
-    checks.extend(_check_dp_enum(n) for n in range(2, min(n_max, 5) + 1))
+    checks.extend(_check_dp_enum(n, {r: kept[r][n] for r in kept}) for n in ns if n <= 5)
     # the power formula covers only the arbitrated rule: under any other the
     # root route is the path model itself, so the comparison could not fail
     if passing == [selected]:

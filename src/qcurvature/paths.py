@@ -95,9 +95,10 @@ class Comp(Frozen):
         if text in ("", "∅"):
             return cls(())
         try:
-            return cls(tuple(int(part) for part in text.split(",")))
+            entries = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed composition {text!r}") from exc
+        return cls(entries)
 
     def text(self) -> str:
         """The word in plain text.

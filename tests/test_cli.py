@@ -265,7 +265,14 @@ class TestArgumentErrors:
         assert invoke(capsys, "curvature", "--n", "3", "--s", "0,1")[0] == 2
 
     def test_malformed_comp(self, capsys):
-        assert invoke(capsys, "cq", "--n", "3", "--s", "0,x")[0] == 2
+        code, out, err = invoke(capsys, "cq", "--n", "3", "--s", "0,x")
+        assert (code, out) == (2, "")
+        assert "malformed composition '0,x'" in err
+
+    def test_negative_comp_entry(self, capsys):
+        code, out, err = invoke(capsys, "cq", "--n", "3", "--s", "1,-1")
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
 
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2

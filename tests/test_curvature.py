@@ -698,8 +698,8 @@ class TestArbitrationAndVerify:
         assert sorted(calls) == [2, 3, 4, 5, 6]
 
     def test_cold_runs_build_few_step_tables(self, monkeypatch):
-        # each rule's oracle rows read one pass of the dynamic program, the
-        # root rows one more; only dp-vs-enum runs a pass per n (n <= 5)
+        # verify runs one pass of the dynamic program per rule, and every row
+        # (oracle, arbitration, root, dp-vs-enum) reads a table of those passes
         real = paths._steps
         built = []
 
@@ -713,7 +713,7 @@ class TestArbitrationAndVerify:
         resolve_default_rule.cache_clear()
         try:
             assert verify_suite(12).passed
-            assert len(built) <= 2 * 13 + 13 + 2 * (3 + 4 + 5 + 6)
+            assert len(built) <= 2 * 13
             built.clear()
             resolve_default_rule.cache_clear()
             assert resolve_default_rule() is PREFIX
@@ -768,6 +768,31 @@ class TestArbitrationAndVerify:
             "dp": list(dp.coeffs),
             "enum": list((dp + ONE).coeffs),
         }
+
+    def test_wrong_dp_table_reports_first_vertex(self, monkeypatch):
+        # the DP side of dp-vs-enum: a wrong literal table 4 fails n = 4 only,
+        # at its canonically first differing vertex
+        real = paths._steps
+
+        def wrong(n, rule):
+            for t, table in enumerate(real(n, rule)):
+                if (t, rule) == (4, LITERAL):
+                    table = {**table, Comp((1,)): table[Comp((1,))] + ONE}
+                yield table
+
+        monkeypatch.setattr(paths, "_steps", wrong)
+        monkeypatch.setattr(curvature, "_steps", wrong)
+        report = verify_suite(6)
+        rows = [c for c in report.checks if c.check == "dp-vs-enum"]
+        assert [c.status for c in rows] == ["pass", "pass", "fail", "pass"]
+        assert rows[2].counterexample == {
+            "n": 4,
+            "rule": "literal",
+            "s": [1],
+            "dp": [2, 1, 2, 1, 1],
+            "enum": [1, 1, 2, 1, 1],
+        }
+        assert [c for c in report.checks if c.rule is None and not c.passed()] == [rows[2]]
 
     def test_four_step_listing_mismatches(self):
         mismatches = {m.s: m for m in four_step_listing_mismatches()}

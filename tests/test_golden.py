@@ -2,10 +2,11 @@
 
 ``golden_cli.json`` maps each invocation below to its exit code and the
 SHA-256 of its stdout: every mode, format and rule of ``curvature`` for
-n <= 8, ``verify --n 6``, ``binom`` for n <= 6 and 0 <= k <= n,
+n <= 8, ``verify`` at n = 3, 6 and 8 (below, at and above the
+arbitration's fixed range), ``binom`` for n <= 6 and 0 <= k <= n,
 ``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five vertices with
-both methods.  The ``curvature`` and ``verify`` digests were recorded from
-the path model route; every production route must reproduce those bytes
+both methods.  The ``curvature`` and ``verify --n 6`` digests were recorded
+from the path model route; every production route must reproduce those bytes
 exactly.
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -40,9 +41,10 @@ def invocations() -> list[tuple[str, ...]]:
             for fmt in FORMATS:
                 for rule in RULES:
                     out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
-    for fmt in ("text", "json"):
-        for rule in ("default", "literal", "prefix"):
-            out.append(("verify", "--n", "6", "--format", fmt, "--rule", rule))
+    for n in (3, 6, 8):
+        for fmt in ("text", "json"):
+            for rule in RULES:
+                out.append(("verify", "--n", str(n), "--format", fmt, "--rule", rule))
     for n in range(1, 7):
         for mode in modes(n):
             for fmt in FORMATS:

@@ -40,8 +40,13 @@ class TestComp:
         assert Comp.parse("0,1") == Comp((0, 1))
         assert str(Comp((0, 1))) == "0,1"
         assert str(EMPTY) == "∅"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed composition"):
             Comp.parse("0,x")
+
+    def test_parse_names_a_negative_entry(self):
+        # only int() parsing is "malformed"; the constructor's own message stands
+        with pytest.raises(ValueError, match="nonnegative"):
+            Comp.parse("1,-1")
 
     def test_ordering_is_length_then_reversed_entries(self):
         # the order in which expansions are conventionally listed
