@@ -265,16 +265,11 @@ def _pack(p: QPoly, bits: int) -> int:
     return sum(c << (bits * e) for e, c in enumerate(p.coeffs))
 
 
-def _unpack(x: int, bits: int, length: int | None = None) -> list[int]:
-    """Inverse of :func:`_pack` for nonnegative coefficients below 2^bits.
-
-    Returns ``length`` coefficients when given, else exactly up to the
-    leading one.
-    """
-    if length is None:
-        length = -(-x.bit_length() // bits)
+def _unpack(x: int, bits: int) -> list[int]:
+    """Inverse of :func:`_pack` for nonnegative coefficients below 2^bits,
+    exactly up to the leading one."""
     mask = (1 << bits) - 1
-    return [(x >> (bits * e)) & mask for e in range(length)]
+    return [(x >> (bits * e)) & mask for e in range(-(-x.bit_length() // bits))]
 
 
 def _closed_form_walk(
@@ -364,7 +359,7 @@ def production_terms(
         # Adding x >> width onto x & ring adds lane e + n onto lane e, so the
         # loop folds x modulo q^n - 1, packed.  The folded coefficients sum
         # to at most (n-1)! < 2^(bits-1), so no lane carries into the next,
-        # and the loop ends at the fold itself, which is below ring.
+        # and the loop ends at the fold itself, below ring: at most n lanes.
         bits = _packing_bits(n, n)
         width = bits * n
         ring = (1 << width) - 1
@@ -376,7 +371,7 @@ def production_terms(
             return x
 
         def reduce_folded(x: int) -> QPoly:
-            return remainder_of_folded(_unpack(x, bits, n), modulus)
+            return remainder_of_folded(_unpack(x, bits), modulus)
 
         for k in range(n - 1, 0, -1):
             yield k, iter(())
@@ -415,25 +410,6 @@ def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
     return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
 
 
-def power_formula_coefficients(n: int) -> dict[int, ElementPoly]:
-    """Coefficients of the n-th deformed power from the q-binomial power formula.
-
-    c[n] = 1 and c[n-k] = (n choose k)_q * M(k) for k = 1..n, with M(k) in
-    its closed form: :func:`production_terms` in generic mode.  Keys ascend.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _gathered(production_terms(n, GENERIC))
-
-
-def root_coefficients(n: int) -> dict[int, ElementPoly]:
-    """c[0] = M(n) reduced modulo the n-th cyclotomic polynomial, dropped when
-    zero: :func:`production_terms` at the root, which takes no rule."""
-    if n < 2:
-        raise ValueError("root-of-unity mode needs n >= 2")
-    return _gathered(production_terms(n, ROOT))
-
-
 def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion, gathered from :func:`expansion_terms`: the power
     formula under the oracle-arbitrated rule, else :func:`path_expansion`."""
@@ -459,12 +435,13 @@ def binomial_expansion(n: int) -> OperatorPoly:
 
     d^n plus, for k = 1..n-1, the Gaussian binomial (n choose k) times the
     (k-1)-fold deformed derivative of a times d^(n-k), plus the (n-1)-fold
-    deformed derivative of a: :func:`power_formula_coefficients`, as one
-    operator.  Must agree with :func:`deformed_power`.
+    deformed derivative of a: :func:`production_terms` in generic mode, the
+    stream the CLI writes, gathered into one operator.  It takes no rule.
+    Must agree with :func:`deformed_power`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _operator(power_formula_coefficients(n))
+    return _operator(_gathered(production_terms(n, GENERIC)))
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +830,11 @@ def _check_dp_enum(n: int, tables: Mapping[WeightRule, Mapping[Comp, QPoly]]) ->
 def _check_reduction_commutes(path_root: CurvatureExpansion) -> CheckResult:
     """The production root route against the path model reduced at the root.
 
-    It reads :func:`root_coefficients`, which takes no rule, so the check
-    runs no arbitration of its own.
+    It reads :func:`production_terms` at the root, the stream the CLI
+    writes, which takes no rule, so the check runs no arbitration of its own.
     """
     n, rule = path_root.n, path_root.rule
-    production = _operator(root_coefficients(n))
+    production = _operator(_gathered(production_terms(n, ROOT)))
     names = ("production_value", "path_value")
     difference = _operator_difference(n, production, path_root.as_operator(), names)
     return _row("reduction-commutes", n, rule, difference)

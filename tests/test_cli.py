@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qcurvature.cli as cli
+import qcurvature.curvature as curvature
 from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
@@ -331,6 +332,22 @@ class TestInternalErrors:
         assert out == ""
         assert err == "error: internal failure: RecursionError: maximum recursion depth exceeded while calling\n"
 
+    def test_failed_arbitration_exits_three_but_verify_exits_one(self, capsys, monkeypatch):
+        # exit code 1 is reserved for a failed verification: a curvature run
+        # that cannot pick its rule is an internal failure
+        def failing(n, rule, final):
+            return curvature._row("oracle-equivalence", n, rule, {"n": n})
+
+        monkeypatch.setattr(curvature, "_check_oracle_equivalence", failing)
+        resolve_default_rule.cache_clear()
+        try:
+            code, out, err = invoke(capsys, "curvature", "--n", "3")
+            assert (code, out) == (3, "")
+            assert err == "error: internal failure: RuntimeError: rule arbitration did not single out one rule: []\n"
+            assert invoke(capsys, "verify", "--n", "3")[0] == 1
+        finally:
+            resolve_default_rule.cache_clear()
+
 
 # Runs one CLI call in process, then lists what it loaded of the modules
 # that each CLI call would otherwise pay for before any work.
@@ -378,15 +395,15 @@ class TestScriptedInvocations:
 
     def test_closed_pipe_exits_141_quietly(self):
         # the reader takes 20 bytes of several megabytes and goes away
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "qcurvature", "curvature", "--n", "14", "--mode", "generic"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.read(20) == b"c[14] = 1\nc[13] = (1"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+        ) as proc:
+            assert proc.stdout.read(20) == b"c[14] = 1\nc[13] = (1"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
         assert err == "rule: prefix (oracle-arbitrated default)\n"
 
     def test_argument_error_exits_two(self):

@@ -21,7 +21,6 @@ from qcurvature.curvature import (
     infinitesimal_from_operator,
     path_expansion,
     path_root_expansion,
-    power_formula_coefficients,
     resolve_default_rule,
     root_of_unity_expansion,
     verify_suite,
@@ -143,6 +142,29 @@ def closed_form(word):
     return value
 
 
+def plant_production(monkeypatch, mode, change, at=None):
+    """Patch ``curvature.production_terms``, the stream the CLI writes: in
+    ``mode``, at n == ``at`` when given, each term (word, value) of c[0]
+    becomes (word, change(n, word, value))."""
+    real = curvature.production_terms
+
+    def wrong(n, m, *args):
+        for k, terms in real(n, m, *args):
+            if m == mode and k == 0 and at in (None, n):
+                terms = [(word, change(n, word, value)) for word, value in terms]
+            yield k, terms
+
+    monkeypatch.setattr(curvature, "production_terms", wrong)
+
+
+def plus_one_at_a_power_n(n, word, value):
+    return value + ONE if word == (0,) * n else value
+
+
+def doubled(n, word, value):
+    return value * 2
+
+
 def compositions(n):
     """Every word of degree n: a tuple s with sum(s_i + 1) == n."""
     if n == 0:
@@ -158,7 +180,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_leading_power_formula_coefficient_is_the_recursion(self, n):
-        assert power_formula_coefficients(n)[0] == maurer_cartan_element(n)
+        assert generic_expansion(n, PREFIX).c[0] == maurer_cartan_element(n)
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_packed_root_route_equals_unpacked_product(self, n):
@@ -174,7 +196,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_packed_generic_route_equals_unpacked_product(self, n):
-        c = power_formula_coefficients(n)
+        c = generic_expansion(n, PREFIX).c
         for k in range(1, n + 1):
             binomial = q_binomial(n, k)
             expected = {word: binomial * closed_form(word) for word in compositions(k)}
@@ -184,7 +206,7 @@ class TestClosedForm:
     def test_values_at_one_respect_the_packing_bound(self, n):
         # packing relies on [n choose k]_q * M(k)[s] at q = 1 being at most
         # C(n, k) * (k-1)!, which leaves a spare bit below 2^bits
-        c = power_formula_coefficients(n)
+        c = generic_expansion(n, PREFIX).c
         for k in range(1, n + 1):
             bound = comb(n, k) * factorial(k - 1)
             assert bound < 2 ** (curvature._packing_bits(n, k) - 1)
@@ -555,15 +577,9 @@ class TestArbitrationAndVerify:
     def test_wrong_generic_production_fails_verify_at_n6(self, monkeypatch):
         # binomial-formula is the only check that reads the generic
         # production route, and it runs at every n
-        real = curvature.power_formula_coefficients
-
-        def wrong(n):
-            c = real(n)
-            if n == 6:
-                c[0] = c[0] + ElementPoly.from_word(*([0] * 6))
-            return c
-
-        monkeypatch.setattr(curvature, "power_formula_coefficients", wrong)
+        right = generic_expansion(6)
+        plant_production(monkeypatch, curvature.GENERIC, plus_one_at_a_power_n, at=6)
+        assert generic_expansion(6) != right
         report = verify_suite(6)
         assert not report.passed
         failing = {(c.check, c.n) for c in report.checks if not c.passed() and c.rule != "literal"}
@@ -582,24 +598,18 @@ class TestArbitrationAndVerify:
         assert failing == {"maurer-cartan"}
 
     def test_wrong_root_route_fails_verify(self, monkeypatch):
-        real = curvature.root_coefficients
-
-        def wrong(n):
-            return {0: real(n)[0].scaled(2)}
-
-        monkeypatch.setattr(curvature, "root_coefficients", wrong)
+        right = root_of_unity_expansion(6)
+        plant_production(monkeypatch, curvature.ROOT, doubled)
+        assert root_of_unity_expansion(6) != right
         report = verify_suite(6)
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
         assert failing == {"reduction-commutes"}
 
     def test_failing_reduction_commutes_names_first_difference(self, monkeypatch):
-        real = curvature.root_coefficients
-
-        def wrong(n):
-            return {0: real(n)[0].scaled(2)}
-
-        monkeypatch.setattr(curvature, "root_coefficients", wrong)
+        right = root_of_unity_expansion(3)
+        plant_production(monkeypatch, curvature.ROOT, doubled)
+        assert root_of_unity_expansion(3) != right
         rows = [c for c in verify_suite(3).checks if c.check == "reduction-commutes"]
         assert [c.status for c in rows] == ["fail", "fail"]
         # the canonically first word of M(2) reduced at -1 is d(a), coefficient 1
@@ -612,14 +622,9 @@ class TestArbitrationAndVerify:
         }
 
     def test_failing_binomial_formula_names_the_production_value(self, monkeypatch):
-        real = curvature.power_formula_coefficients
-
-        def wrong(n):
-            c = real(n)
-            c[0] = c[0] + ElementPoly.from_word(*([0] * n))
-            return c
-
-        monkeypatch.setattr(curvature, "power_formula_coefficients", wrong)
+        right = generic_expansion(4)
+        plant_production(monkeypatch, curvature.GENERIC, plus_one_at_a_power_n)
+        assert generic_expansion(4) != right
         [row] = [c for c in verify_suite(4).checks if c.check == "binomial-formula" and c.n == 4]
         assert row.counterexample == {
             "n": 4,
@@ -827,3 +832,43 @@ class TestArbitrationAndVerify:
     def test_invalid_n_max(self):
         with pytest.raises(ValueError):
             verify_suite(1)
+
+    def test_reduced_infinitesimal_counterexample(self, monkeypatch):
+        # every entry matches both routes, so only the reduction can differ
+        real = CycloModulus.reduce
+        monkeypatch.setattr(CycloModulus, "reduce", lambda self, p: real(self, p) + ONE)
+        rows = [c for c in verify_suite(4).checks if c.check == "infinitesimal"]
+        assert [c.counterexample for c in rows] == [{"n": n, "m": 0, "reduced": [1]} for n in (2, 3, 4)]
+
+    def test_summary_names_an_agreeing_listing(self, monkeypatch):
+        monkeypatch.setattr(curvature, "four_step_listing_mismatches", lambda: ())
+        lines = verify_suite(2).summary_lines()
+        assert "four-step reference listing: no disagreements" in lines
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: path_expansion(0), "n must be positive", id="path_expansion(0)"),
+        pytest.param(lambda: generic_expansion(0), "n must be positive", id="generic_expansion(0)"),
+        pytest.param(
+            lambda: path_root_expansion(1), "root-of-unity mode needs n >= 2", id="path_root_expansion(1)"
+        ),
+        pytest.param(lambda: binomial_expansion(1), "n must be at least 2", id="binomial_expansion(1)"),
+        pytest.param(
+            lambda: infinitesimal_coefficients(1), "n must be at least 2", id="infinitesimal_coefficients(1)"
+        ),
+        pytest.param(
+            lambda: infinitesimal_from_operator(1), "n must be at least 2", id="infinitesimal_from_operator(1)"
+        ),
+        pytest.param(
+            lambda: infinitesimal_composition_sum(1, "stay"),
+            "n must be at least 2",
+            id="infinitesimal_composition_sum(1)",
+        ),
+    ],
+)
+def test_rejects_n_below_range(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

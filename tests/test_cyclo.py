@@ -295,3 +295,23 @@ class TestReduce:
     def test_reduce_is_idempotent(self, p, n):
         m = CycloModulus.of(n)
         assert reduce(reduce(p, m), m) == reduce(p, m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: QPoly((1,)) ** -1, "negative powers are not defined in Z[q]", id="pow(-1)"),
+        pytest.param(lambda: q_factorial(-1), "k must be nonnegative", id="q_factorial(-1)"),
+        # unguarded, q_binomial(-1, 0) is 0 and cyclotomic(0) a KeyError
+        pytest.param(lambda: q_binomial(-1, 0), "n must be nonnegative", id="q_binomial(-1, 0)"),
+        pytest.param(lambda: cyclotomic(0), "n must be positive", id="cyclotomic(0)"),
+        pytest.param(
+            lambda: divmod(QPoly((0, 1)), QPoly((0, 2))), "1 is not divisible by 2", id="divmod(q, 2q)"
+        ),
+        pytest.param(lambda: cyclo._over_q_number([1, 1], 3), "not divisible by [3]_q", id="_over_q_number"),
+    ],
+)
+def test_rejects_input_out_of_range(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

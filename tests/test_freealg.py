@@ -380,3 +380,21 @@ class TestRendering:
         p = element(((), QPoly((1, 1))), ((1,), -2))
         assert str(p) == "1+q + (-2)*d(a)"
         assert p.latex() == "1+q + (-2)d_M(a)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: OperatorPoly.e(-1), "derivative order must be nonnegative", id="e(-1)"),
+        pytest.param(lambda: OperatorPoly.d() ** -1, "negative operator powers are not defined", id="d ** -1"),
+        pytest.param(
+            lambda: ElementPoly.from_word(0).times_d_power(-1), "dpow must be nonnegative", id="times_d_power(-1)"
+        ),
+        pytest.param(lambda: deformed_power_first_order(0), "n must be positive", id="deformed_power_first_order(0)"),
+        pytest.param(lambda: maurer_cartan_element(0), "n must be positive", id="maurer_cartan_element(0)"),
+    ],
+)
+def test_rejects_input_out_of_range(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

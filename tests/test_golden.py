@@ -2,15 +2,15 @@
 
 ``golden_cli.json`` maps each invocation below to its exit code and the
 SHA-256 of its stdout: every mode, format and rule of ``curvature`` for
-n <= 8, ``verify`` at n = 3, 6 and 8 (below, at and above the
-arbitration's fixed range), ``binom`` for n <= 6 and 0 <= k <= n,
-``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five vertices with
-both methods.  The ``curvature`` and ``verify --n 6`` digests were recorded
-from the path model route; every production route must reproduce those bytes
-exactly.
+n <= 8, and its default-rule root text for 9 <= n <= 12, which runs the
+packed root decode on more lanes; ``verify`` at n = 3, 6 and 8 (below, at
+and above the arbitration's fixed range), ``binom`` for n <= 6 and
+0 <= k <= n, ``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five
+vertices with both methods.  The ``curvature`` digests for n <= 8 and the
+``verify --n 6`` ones were recorded from the path model route; every
+production route must reproduce those bytes exactly.
 Regenerate (only when an output change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
-"""
+``PYTHONPATH=src python tests/test_golden.py``."""
 
 import contextlib
 import hashlib
@@ -41,6 +41,8 @@ def invocations() -> list[tuple[str, ...]]:
             for fmt in FORMATS:
                 for rule in RULES:
                     out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
+    for n in range(9, 13):
+        out.append(("curvature", "--n", str(n), "--mode", "root", "--format", "text", "--rule", "default"))
     for n in (3, 6, 8):
         for fmt in ("text", "json"):
             for rule in RULES:

@@ -234,3 +234,17 @@ class TestPathSums:
         for rule in WeightRule:
             for s in enumerate_vertices(n):
                 assert path_sum_enum(s, n, rule).evaluate(1) == count_paths(s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: enumerate_vertices(0), id="enumerate_vertices(0)"),
+        pytest.param(lambda: path_sum_enum(Comp(()), 0, WeightRule.PREFIX), id="path_sum_enum(n=0)"),
+        pytest.param(lambda: path_sum_dp(Comp(()), 0, WeightRule.PREFIX), id="path_sum_dp(n=0)"),
+    ],
+)
+def test_rejects_n_below_one(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "n must be positive"
