@@ -23,6 +23,25 @@ operator expansion are oracles.
 
 from __future__ import annotations
 
+__all__ = [
+    "CurvatureExpansion",
+    "InfinitesimalCoefficients",
+    "CompositionSumComparison",
+    "COMPOSITION_SUM_READINGS",
+    "VerifyReport",
+    "path_expansion",
+    "path_root_expansion",
+    "generic_expansion",
+    "root_of_unity_expansion",
+    "binomial_expansion",
+    "infinitesimal_coefficients",
+    "infinitesimal_from_operator",
+    "infinitesimal_composition_sum",
+    "four_step_listing_mismatches",
+    "resolve_default_rule",
+    "verify_suite",
+]
+
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache, partial
 from math import comb, factorial, isqrt
@@ -913,7 +932,7 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     mismatches = four_step_listing_mismatches()
     three_step = {
         "missing_word": [0, 0, 0],
-        "computed_coeff": [1],
+        "computed_coeff": coeffs_list(kept[selected][3][Comp((0, 0, 0))]),
         "note": THREE_STEP_DISPLAY_NOTE,
     }
 

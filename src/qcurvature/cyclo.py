@@ -8,6 +8,22 @@ at a primitive root" into a decidable remainder test.
 
 from __future__ import annotations
 
+__all__ = [
+    "CycloModulus",
+    "QPoly",
+    "ZERO",
+    "ONE",
+    "Q",
+    "q_number",
+    "q_factorial",
+    "q_binomial",
+    "cyclotomic",
+    "divisors",
+    "reduce",
+    "coeffs_list",
+    "poly_from_coeffs",
+]
+
 from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate

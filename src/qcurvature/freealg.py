@@ -25,6 +25,18 @@ product is kept for arbitrary operators.
 
 from __future__ import annotations
 
+__all__ = [
+    "Term",
+    "OperatorPoly",
+    "ElementPoly",
+    "normal_order",
+    "q_derivative",
+    "multiply_by_a",
+    "deformed_power",
+    "deformed_power_first_order",
+    "maurer_cartan_element",
+]
+
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache

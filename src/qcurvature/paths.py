@@ -14,6 +14,18 @@ streams the dynamic program's step tables, two live (:func:`_steps`).
 
 from __future__ import annotations
 
+__all__ = [
+    "Comp",
+    "Edge",
+    "WeightRule",
+    "successors",
+    "enumerate_vertices",
+    "stay_count",
+    "path_sum_enum",
+    "path_sum_dp",
+    "forward_tables",
+]
+
 from collections import deque
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from enum import Enum

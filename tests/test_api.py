@@ -1,0 +1,102 @@
+"""The public surface: each name is declared once, in the module that defines it."""
+
+import ast
+import inspect
+
+import pytest
+
+import qcurvature
+from qcurvature import curvature, cyclo, freealg, paths
+
+MODULES = (cyclo, paths, freealg, curvature)
+
+# The package's public names in order; changing this list changes the API.
+PUBLIC = [
+    "CycloModulus",
+    "QPoly",
+    "ZERO",
+    "ONE",
+    "Q",
+    "q_number",
+    "q_factorial",
+    "q_binomial",
+    "cyclotomic",
+    "divisors",
+    "reduce",
+    "coeffs_list",
+    "poly_from_coeffs",
+    "Comp",
+    "Edge",
+    "WeightRule",
+    "successors",
+    "enumerate_vertices",
+    "stay_count",
+    "path_sum_enum",
+    "path_sum_dp",
+    "forward_tables",
+    "Term",
+    "OperatorPoly",
+    "ElementPoly",
+    "normal_order",
+    "q_derivative",
+    "multiply_by_a",
+    "deformed_power",
+    "deformed_power_first_order",
+    "maurer_cartan_element",
+    "CurvatureExpansion",
+    "InfinitesimalCoefficients",
+    "CompositionSumComparison",
+    "COMPOSITION_SUM_READINGS",
+    "VerifyReport",
+    "path_expansion",
+    "path_root_expansion",
+    "generic_expansion",
+    "root_of_unity_expansion",
+    "binomial_expansion",
+    "infinitesimal_coefficients",
+    "infinitesimal_from_operator",
+    "infinitesimal_composition_sum",
+    "four_step_listing_mismatches",
+    "resolve_default_rule",
+    "verify_suite",
+]
+
+
+def test_package_names_are_pinned_and_distinct():
+    assert qcurvature.__all__ == PUBLIC
+    assert len(set(PUBLIC)) == len(PUBLIC)
+
+
+def test_package_reexports_each_module_all():
+    assert qcurvature.__all__ == [name for module in MODULES for name in module.__all__]
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(qcurvature, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from qcurvature import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC)
+
+
+def test_package_imports_no_name_one_by_one():
+    for node in ast.parse(inspect.getsource(qcurvature)).body:
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            assert [alias.name for alias in node.names] == ["*"], node.module
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_module_all_lists_only_what_it_defines(module):
+    defined = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert set(module.__all__) <= defined
+    for name in module.__all__:
+        value = getattr(module, name)
+        if callable(value):  # functions, cached functions and classes
+            assert value.__module__ == module.__name__, name

@@ -271,9 +271,16 @@ class TestArgumentErrors:
         assert "malformed composition '0,x'" in err
 
     def test_negative_comp_entry(self, capsys):
-        code, out, err = invoke(capsys, "cq", "--n", "3", "--s", "1,-1")
-        assert (code, out) == (2, "")
-        assert "nonnegative" in err
+        for argv, message in (
+            (["--s", "1,-1"], "nonnegative"),
+            (["--s=-1,0"], "nonnegative"),
+            # argparse reads a spaced value that starts with "-" and is not a
+            # plain negative number as an option, so --s gets no argument
+            (["--s", "-1,0"], "argument --s"),
+        ):
+            code, out, err = invoke(capsys, "cq", "--n", "3", *argv)
+            assert (code, out) == (2, "")
+            assert message in err
 
     def test_nonpositive_n(self, capsys):
         assert invoke(capsys, "curvature", "--n", "0")[0] == 2
@@ -349,16 +356,20 @@ class TestInternalErrors:
             resolve_default_rule.cache_clear()
 
 
-# Runs one CLI call in process, then lists what it loaded of the modules
-# that each CLI call would otherwise pay for before any work.
+# Imports the CLI and the package, then runs one CLI call in process; after
+# each step it lists what was loaded of the modules that each CLI call would
+# otherwise pay for before any work.
 IMPORT_PROBE = """
 import io, sys
+loaded = lambda: sorted({"dataclasses", "typing", "inspect", "json"} & set(sys.modules))
 import qcurvature.cli
+import qcurvature
+print(loaded())
 sys.stdout = io.StringIO()
 code = qcurvature.cli.run(["curvature", "--n", "6", "--mode", "root", "--format", "text"])
 out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
 assert code == 0 and out.startswith("c[5] = 0\\nc[4] = 0\\n"), (code, out)
-print(sorted({"dataclasses", "typing", "inspect", "json"} & set(sys.modules)))
+print(loaded())
 """
 
 
@@ -374,7 +385,7 @@ class TestScriptedInvocations:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n"
 
     @staticmethod
     def script(*argv):

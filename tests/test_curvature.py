@@ -745,6 +745,7 @@ class TestArbitrationAndVerify:
     def test_first_difference_reads_a_missing_key_as_zero(self):
         first = curvature._first_difference
         assert first({1: ONE}, {1: ONE}, order=lambda key: key) is None
+        assert first({1: ZERO}, {}, order=lambda key: key) is None
         assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: key) == (1, ONE, ZERO)
         assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: -key) == (2, ZERO, ONE)
 
@@ -798,6 +799,25 @@ class TestArbitrationAndVerify:
             "enum": [1, 1, 2, 1, 1],
         }
         assert [c for c in report.checks if c.rule is None and not c.passed()] == [rows[2]]
+
+    def test_three_step_display_reads_the_selected_table(self, monkeypatch):
+        # computed_coeff is the a^3 coefficient of the selected rule's table 3
+        real = paths._steps
+        selected = WeightRule(verify_suite(3).selected_rule)
+
+        def wrong(n, rule):
+            for t, table in enumerate(real(n, rule)):
+                if (t, rule) == (3, selected):
+                    table = {**table, Comp((0, 0, 0)): QPoly((2,))}
+                yield table
+
+        monkeypatch.setattr(paths, "_steps", wrong)
+        monkeypatch.setattr(curvature, "_steps", wrong)
+        report = verify_suite(3)
+        assert report.selected_rule == selected.value
+        assert report.three_step_display["computed_coeff"] == [2]
+        rows = [c for c in report.checks if c.check == "oracle-equivalence" and c.rule == selected.value]
+        assert [(c.n, c.status) for c in rows] == [(2, "pass"), (3, "fail")]
 
     def test_four_step_listing_mismatches(self):
         mismatches = {m.s: m for m in four_step_listing_mismatches()}

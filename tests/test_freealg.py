@@ -284,6 +284,8 @@ class TestQDerivative:
             element(((1, 0), ONE))
         )
         assert direct == split
+        assert q_derivative(p.scaled(2)) == direct + direct
+        assert p.scaled(0) == ElementPoly()
 
 
 class TestMaurerCartan:
@@ -353,6 +355,8 @@ class TestFirstOrderPower:
 class TestElementPoly:
     def test_times_d_power(self):
         assert element(((0,), ONE)).times_d_power(2) == op(((0,), 2, 1))
+        # a sum equals only a sum of its own class, zero included
+        assert OperatorPoly() != ElementPoly()
 
     def test_reduce_mod_drops_vanishing_terms(self):
         p = element(((0,), QPoly((1, 1))), ((1,), ONE))
