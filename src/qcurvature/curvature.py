@@ -5,7 +5,8 @@ element coefficients times powers of d.  This module assembles that
 expansion three independent ways (weighted path model, direct operator
 expansion, q-binomial power formula), reduces it at roots of unity,
 extracts the first-order (infinitesimal) coefficients, and packages all
-pairwise consistency checks into a verification report.
+pairwise consistency checks into a verification report, each check one merge
+of two (k, terms) streams (:func:`_differences`).
 
 Routes.  The power formula is the production route of both modes under the
 oracle-arbitrated weight rule, with M(k) = D^(k-1) a taken from its closed
@@ -18,7 +19,7 @@ library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`
 and every CLI format read that one stream.  The recursion defining M(k)
 (:func:`maurer_cartan_element`), the path model under the arbitrated rule
 (gathered by :func:`path_expansion`, :func:`path_root_expansion`) and the
-operator expansion are oracles.
+operator expansion are oracles; verify reads each as a stream, never a cache.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ from .cyclo import (
 from .freealg import (
     ElementPoly,
     OperatorPoly,
-    deformed_power,
+    _maurer_cartan_terms,
+    _operator_terms,
     deformed_power_first_order,
-    maurer_cartan_element,
 )
 from .paths import (
     Comp,
@@ -73,7 +74,6 @@ from .paths import (
     _last_table,
     _path_sums_enum,
     _steps,
-    enumerate_vertices,
     stay_count,
 )
 
@@ -111,7 +111,9 @@ class CurvatureExpansion(Frozen):
         return sorted(self.c, reverse=True)
 
     def as_operator(self) -> OperatorPoly:
-        return _operator(self.c)
+        """The sum of c[k] * d^k over k, as one operator."""
+        # the blocks share no key (k differs), so one dict holds them all
+        return OperatorPoly._trusted({(m, k): c for k, e in self.c.items() for m, c in e._terms.items()})
 
     def to_json_dict(self) -> dict:
         blocks = ((k, ((s.entries, coeffs_list(c)) for s, c in self.c[k].items()))
@@ -172,14 +174,6 @@ class CurvatureExpansion(Frozen):
             raise ValueError(f"malformed curvature expansion: {exc}") from exc
 
 
-def _operator(c: dict[int, ElementPoly]) -> OperatorPoly:
-    """The sum of c[k] * d^k over k, as one operator."""
-    # the blocks share no key (k differs), so one dict holds them all
-    return OperatorPoly(
-        {(mono, k): coeff for k, element in c.items() for mono, coeff in element._terms.items()}
-    )
-
-
 def expansion_json(n: int, mode: str, rule: WeightRule, blocks: Blocks) -> dict:
     """The JSON form of an expansion from its blocks, words as entries and
     coefficients as lists; a power with no terms is left out."""
@@ -226,27 +220,22 @@ def _path_terms(
         yield k, ((words.render(s.entries), present(c)) for s, c in values if c)
 
 
-def _path_model(n: int, mode: str, rule: WeightRule, final: Mapping) -> CurvatureExpansion:
-    """The path model's expansion of ``mode``, gathered from :func:`_path_terms` over ``final``."""
-    return CurvatureExpansion(n, mode, rule, _gathered(_path_terms(n, mode, final)))
-
-
 def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion assembled from weighted path sums (an oracle):
-    :func:`_path_model` over the dynamic program's table n (:func:`_last_table`)."""
+    :func:`_path_terms` over the dynamic program's table n (:func:`_last_table`), gathered."""
     if n < 1:
         raise ValueError("n must be positive")
     rule = rule if rule is not None else resolve_default_rule()
-    return _path_model(n, GENERIC, rule, _last_table(n, rule))
+    return CurvatureExpansion(n, GENERIC, rule, _gathered(_path_terms(n, GENERIC, _last_table(n, rule))))
 
 
 def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Expansion at a primitive n-th root of unity from the path model (an
-    oracle): :func:`_path_model` at the root, over the same last table."""
+    oracle): :func:`_path_terms` at the root, over the same last table, gathered."""
     if n < 2:
         raise ValueError("root-of-unity mode needs n >= 2")
     rule = rule if rule is not None else resolve_default_rule()
-    return _path_model(n, ROOT, rule, _last_table(n, rule))
+    return CurvatureExpansion(n, ROOT, rule, _gathered(_path_terms(n, ROOT, _last_table(n, rule))))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +449,8 @@ def binomial_expansion(n: int) -> OperatorPoly:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _operator(_gathered(production_terms(n, GENERIC)))
+    terms = production_terms(n, GENERIC)
+    return OperatorPoly._trusted({(Comp._trusted(w), k): c for k, block in terms for w, c in block})
 
 
 # ---------------------------------------------------------------------------
@@ -751,58 +741,67 @@ def _row(check: str, n: int, rule: WeightRule | None, counterexample: dict | Non
     return CheckResult(check, n, status, None if rule is None else rule.value, counterexample)
 
 
-def _first_difference(left: Mapping, right: Mapping, order: Callable) -> tuple | None:
-    """The first key in ``order`` where two maps differ, with both values.
+def _differences(reference: Blocks, *streams: Blocks) -> list[tuple | None]:
+    """For each of ``streams``, the canonically first (k, word, reference value, its
+    value) where it differs from ``reference``; None where the two agree.
 
-    A key missing from one map reads ZERO there; None when the maps agree.
+    All are in the shape of :func:`production_terms`, words as entries, and are walked
+    in lockstep, each term read once; a word missing from a stream reads ZERO there.
+    The walk stops once every stream has differed.
     """
-    if left == right:
-        return None
-    for key in sorted(left.keys() | right.keys(), key=order):
-        a, b = left.get(key, ZERO), right.get(key, ZERO)
-        if a != b:
-            return key, a, b
-    return None
+    found: list[tuple | None] = [None] * len(streams)
+    # (key, word, value) for each term, the key ordering by -k, then Comp.sort_key
+    flat = [(((-k, len(w), w[::-1]), w, value) for k, terms in blocks for w, value in terms)
+            for blocks in (reference, *streams)]
+    heads = [next(terms, None) for terms in flat]
+    while None in found and any(heads):
+        key = min(head[0] for head in heads if head)
+        values = [ZERO] * len(heads)
+        for i, head in enumerate(heads):
+            if head and head[0] == key:
+                word, values[i] = head[1:]
+                heads[i] = next(flat[i], None)
+        for i, value in enumerate(values[1:]):
+            if found[i] is None and value != values[0]:
+                found[i] = (-key[0], word, values[0], value)
+    return found
 
 
-def _operator_difference(
-    n: int,
-    left: OperatorPoly,
-    right: OperatorPoly,
-    names: tuple[str, str] = ("path_value", "oracle_value"),
-) -> dict | None:
-    """The canonically first term (d-power descending, then word order)
-    where two operators differ, each value named by its route."""
-    found = _first_difference(left._terms, right._terms, lambda key: (-key[1], key[0].sort_key()))
+def _compared(check: str, n: int, rule: WeightRule | None, found: tuple | None,
+              names: dict[str, int]) -> CheckResult:
+    """``check``'s row at n from ``found`` by :func:`_differences`, its values named by route:
+    ``names`` maps each, in order, to 0 for the reference stream's value, 1 for the other's."""
     if found is None:
-        return None
-    (mono, dpow), a, b = found
-    values = {names[0]: coeffs_list(a), names[1]: coeffs_list(b)}
-    return {"n": n, "s": list(mono.entries), "dpow": dpow, **values}
+        return _row(check, n, rule, None)
+    k, word, *values = found
+    named = {route: coeffs_list(values[i]) for route, i in names.items()}
+    return _row(check, n, rule, {"n": n, "s": list(word), "dpow": k, **named})
 
 
 def _check_oracle_equivalence(n: int, rule: WeightRule, final: Mapping[Comp, QPoly]) -> CheckResult:
-    path = _path_model(n, GENERIC, rule, final).as_operator()
-    difference = _operator_difference(n, path, deformed_power(n))
-    return _row("oracle-equivalence", n, rule, difference)
+    [found] = _differences(_path_terms(n, GENERIC, final), _operator_terms(n))
+    return _compared("oracle-equivalence", n, rule, found, {"path_value": 0, "oracle_value": 1})
 
 
-def _check_maurer_cartan(path_root: CurvatureExpansion) -> CheckResult:
-    """The path model reduced at the root against M(n) * d^0 reduced there.
-
-    A stray coefficient of d^k, k >= 1, is a difference at dpow = k.
+def _check_roots(n: int, rule: WeightRule, final: Mapping, production: bool) -> list[CheckResult]:
+    """maurer-cartan at n, then reduction-commutes when ``production``, both
+    against one path-root stream over ``final``, the dynamic program's table n:
+    M(n) * d^0 reduced at the root, so a stray coefficient of d^k, k >= 1, is a
+    difference at dpow = k, and :func:`production_terms` at the root, the stream
+    the CLI writes, which takes no rule, so the check runs no arbitration of its own.
     """
-    n = path_root.n
-    expected = maurer_cartan_element(n).reduce_mod(CycloModulus.of(n)).to_operator()
-    difference = _operator_difference(n, path_root.as_operator(), expected)
-    return _row("maurer-cartan", n, path_root.rule, difference)
+    reduce = CycloModulus.of(n).reduce
+    expected = ((k, ((s, reduce(c)) for s, c in terms)) for k, terms in _maurer_cartan_terms(n))
+    others = (expected, production_terms(n, ROOT)) if production else (expected,)
+    mc, *commutes = _differences(_path_terms(n, ROOT, final), *others)
+    rows = [_compared("maurer-cartan", n, rule, mc, {"path_value": 0, "oracle_value": 1})]
+    names = {"production_value": 1, "path_value": 0}
+    return rows + [_compared("reduction-commutes", n, rule, found, names) for found in commutes]
 
 
 def _check_binomial_formula(n: int) -> CheckResult:
-    difference = _operator_difference(
-        n, binomial_expansion(n), deformed_power(n), ("production_value", "oracle_value")
-    )
-    return _row("binomial-formula", n, None, difference)
+    [found] = _differences(production_terms(n, GENERIC), _operator_terms(n))
+    return _compared("binomial-formula", n, None, found, {"production_value": 0, "oracle_value": 1})
 
 
 def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
@@ -830,48 +829,30 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
 
 
 def _check_dp_enum(n: int, tables: Mapping[WeightRule, Mapping[Comp, QPoly]]) -> CheckResult:
-    """Each rule's table n of its DP pass, in ``tables``, against its paths enumerated."""
+    """Each rule's table n of its DP pass, in ``tables``, against its paths
+    enumerated: each table's items in canonical order are one block."""
     for rule, table in tables.items():
-        found = _first_difference(table, _path_sums_enum(n, rule), Comp.sort_key)
+        dp, enum = ([(0, ((s.entries, v) for s, v in sorted(t.items())))]
+                    for t in (table, _path_sums_enum(n, rule)))
+        [found] = _differences(dp, enum)
         if found is not None:
-            s, a, b = found
-            bad = {
-                "n": n,
-                "rule": rule.value,
-                "s": list(s.entries),
-                "dp": coeffs_list(a),
-                "enum": coeffs_list(b),
-            }
+            _, s, a, b = found
+            bad = {"n": n, "rule": rule.value, "s": list(s), "dp": coeffs_list(a), "enum": coeffs_list(b)}
             return _row("dp-vs-enum", n, None, bad)
     return _row("dp-vs-enum", n, None, None)
-
-
-def _check_reduction_commutes(path_root: CurvatureExpansion) -> CheckResult:
-    """The production root route against the path model reduced at the root.
-
-    It reads :func:`production_terms` at the root, the stream the CLI
-    writes, which takes no rule, so the check runs no arbitration of its own.
-    """
-    n, rule = path_root.n, path_root.rule
-    production = _operator(_gathered(production_terms(n, ROOT)))
-    names = ("production_value", "path_value")
-    difference = _operator_difference(n, production, path_root.as_operator(), names)
-    return _row("reduction-commutes", n, rule, difference)
 
 
 def four_step_listing_mismatches() -> tuple[ListingMismatch, ...]:
     """Vertices of the four-step expansion where the hand-worked reference
     weights differ from the exact operator-oracle coefficients."""
-    oracle = deformed_power(4)
     out = []
-    for s in enumerate_vertices(4):
-        if not s.entries:
-            continue  # the pure d^4 vertex carries no reference value
-        stated = REFERENCE_FOUR_STEP_WEIGHTS[s.entries]
-        computed = oracle.coefficient(s, stay_count(s, 4))
-        if poly_from_coeffs(stated) != computed:
-            out.append(ListingMismatch(s.entries, stated, tuple(computed.coeffs)))
-    return tuple(out)
+    for _, terms in _operator_terms(4):
+        for word, computed in terms:
+            # the pure d^4 vertex carries no reference value
+            stated = REFERENCE_FOUR_STEP_WEIGHTS.get(word)
+            if stated is not None and poly_from_coeffs(stated) != computed:
+                out.append(ListingMismatch(word, stated, tuple(computed.coeffs)))
+    return tuple(sorted(out, key=lambda mismatch: Comp(mismatch.s).sort_key()))
 
 
 def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport:
@@ -911,23 +892,23 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     selected = rule if rule is not None else (passing[0] if len(passing) == 1 else WeightRule.PREFIX)
 
     ns = range(2, n_max + 1)
-    # the rest of each pass gives its oracle rows, and the selected rule's root rows
-    path_roots = [_path_model(n, ROOT, selected, kept[selected][n]) for n in ns if n <= ARBITRATION_N_MAX]
+    # the power formula covers only the arbitrated rule: under any other the
+    # root route is the path model itself, so reduction-commutes could not fail
+    production = passing == [selected]
+    # the rest of each pass, one after the other, gives its oracle rows and the selected rule's root rows
+    roots = [_check_roots(n, selected, t, production) for n, t in enumerate(kept[selected]) if n in ns]
     for r, tables in passes.items():
         for n, table in enumerate(tables, start=ARBITRATION_N_MAX + 1):
             oracle_rows[r].append(_check_oracle_equivalence(n, r, table))
             if r is selected:
-                path_roots.append(_path_model(n, ROOT, selected, table))
+                roots.append(_check_roots(n, selected, table, production))
     checks = [row for rows in oracle_rows.values() for row in rows if row.n <= n_max]
     checks.append(_row("weight-rule-arbitration", ARBITRATION_N_MAX, None, unsettled))
-    checks.extend(_check_maurer_cartan(path_root) for path_root in path_roots)
+    checks.extend(rows[0] for rows in roots)
     checks.extend(_check_binomial_formula(n) for n in ns)
     checks.extend(_check_infinitesimal(n, selected) for n in ns)
     checks.extend(_check_dp_enum(n, {r: kept[r][n] for r in kept}) for n in ns if n <= 5)
-    # the power formula covers only the arbitrated rule: under any other the
-    # root route is the path model itself, so the comparison could not fail
-    if passing == [selected]:
-        checks.extend(_check_reduction_commutes(path_root) for path_root in path_roots)
+    checks.extend(row for rows in roots for row in rows[1:])
 
     mismatches = four_step_listing_mismatches()
     three_step = {

@@ -17,10 +17,11 @@ Kronecker-packed coefficients, one int per coefficient with a 64-bit multiple
 of lane per power of q; the lane bound, (n+1)! after n steps, follows from
 the rewrite rule alone.  Each kind of rewrite sends evenly spaced codes to
 evenly spaced codes, so a step is a few list-slice additions.  Each word is
-decoded to a :class:`Comp` once, at the end, from a table of the words of
-each degree built from the previous degree's, in canonical order.  They share
-no packing code with the production route.  The general :class:`OperatorPoly`
-product is kept for arbitrary operators.
+decoded once, at the end, from a table of the words of each degree built from
+the previous degree's, in canonical order, into a (k, terms) stream that verify
+reads and only the public functions gather.  They share no packing code with
+the production route.  The general :class:`OperatorPoly` product is kept for
+arbitrary operators.
 """
 
 from __future__ import annotations
@@ -78,6 +79,13 @@ class _SparseSum:
         self._terms = {
             key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()
         }
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> _SparseSum:
+        """Wrap a dict known to hold no zero coefficient, skipping the zero test and the copy."""
+        made = object.__new__(cls)
+        made._terms = terms
+        return made
 
     def __add__(self, other: _SparseSum) -> _SparseSum:
         acc = dict(self._terms)
@@ -448,19 +456,19 @@ def _next_words(words: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _decoded(
     block: list[int], words: list[tuple[int, ...]], lane: int
-) -> Iterator[tuple[Comp, QPoly]]:
-    """The words of ``block`` and their coefficients, in canonical word order.
+) -> Iterator[tuple[tuple[int, ...], QPoly]]:
+    """The words of ``block``, as entries, and their coefficients, in canonical word order.
 
     Within a degree that order is by length, the offset's popcount, then by
     offset descending.  Each packed int is dropped once it is read.
 
     >>> block, words = [1, 1 + (1 << 64), 1, 1], _next_words(_next_words([(0,)]))
-    >>> [(m.entries, c.coeffs) for m, c in _decoded(block, words, 64)]
+    >>> [(w, c.coeffs) for w, c in _decoded(block, words, 64)]
     [((2,), (1,)), ((1, 0), (1,)), ((0, 1), (1, 1)), ((0, 0, 0), (1,))]
     """
     for j in sorted(range(len(block) - 1, -1, -1), key=int.bit_count):
         x, block[j] = block[j], 0
-        yield Comp._trusted(words[j]), _unpack_lanes(x, lane)
+        yield words[j], _unpack_lanes(x, lane)
 
 
 def _lane_bits(n: int) -> int:
@@ -492,7 +500,7 @@ def _unpack_lanes(x: int, lane: int) -> QPoly:
 
 @cache
 def deformed_power(n: int) -> OperatorPoly:
-    """Normal form of (d + e_0)^n over generic q.
+    """Normal form of (d + e_0)^n over generic q, gathered from :func:`_operator_terms`.
 
     Built as D^(m+1) = e_0 * D^m + d * D^m on packed coefficients, one list
     per degree with one slot per word: e_0 prepends an entry, and d is pushed
@@ -506,6 +514,12 @@ def deformed_power(n: int) -> OperatorPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    return OperatorPoly._trusted({(Comp._trusted(w), k): c for k, b in _operator_terms(n) for w, c in b})
+
+
+def _operator_terms(n: int) -> Iterator[tuple[int, Iterator]]:
+    """The terms of :func:`deformed_power` as a stream (k, terms), k = n..0, in the shape
+    of the curvature routes: the words of degree n - k, as entries in canonical order."""
     lane = _lane_bits(n)
     moves = [_raising_moves(degree) for degree in range(n)]
     power = [[1], [1]]  # by degree: d (the empty word) and e_0
@@ -518,19 +532,18 @@ def deformed_power(n: int) -> OperatorPoly:
                 _add(block, power[degree], [(degree, slice(None), slice(None))], lane)
             following.append(block)
         power = following
-    terms = {(EMPTY, n): ONE}
+    yield n, iter([((), ONE)])
     words = [(0,)]
     for degree in range(1, n + 1):
         if degree > 1:
             words = _next_words(words)
-        for mono, coeff in _decoded(power[degree], words, lane):
-            terms[mono, n - degree] = coeff
-    return OperatorPoly(terms)
+        yield n - degree, _decoded(power[degree], words, lane)
 
 
 @cache
 def maurer_cartan_element(n: int) -> ElementPoly:
-    """The element obtained by applying the deformed differential n-1 times to a.
+    """The element obtained by applying the deformed differential n-1 times to a,
+    gathered from :func:`_maurer_cartan_terms`.
 
     Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n), run on
     packed coefficients, one list slot per word of degree n: dM raises each
@@ -547,9 +560,14 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    return ElementPoly._trusted({Comp._trusted(w): c for _, b in _maurer_cartan_terms(n) for w, c in b})
+
+
+def _maurer_cartan_terms(n: int) -> Iterator[tuple[int, Iterator]]:
+    """:func:`maurer_cartan_element` as a stream of one block, (0, terms), words as entries."""
     lane = _lane_bits(n)
     element, words = [1], [(0,)]  # M(1) = a, the one word of degree 1
     for m in range(1, n):
         element = _raised(element, _raising_moves(m), lane)
         words = _next_words(words)
-    return ElementPoly(dict(_decoded(element, words, lane)))
+    yield 0, _decoded(element, words, lane)

@@ -165,6 +165,23 @@ def doubled(n, word, value):
     return value * 2
 
 
+def stream(terms):
+    """A map {(k, word): value} as a stream: blocks k descending, words in canonical order."""
+    order = sorted(terms, key=lambda key: (-key[0], Comp(key[1]).sort_key()))
+    powers = sorted({k for k, _ in terms}, reverse=True)
+    return [(k, [(w, terms[k, w]) for j, w in order if j == k]) for k in powers]
+
+
+def first_difference(left, right):
+    """The first (k, word, left value, right value) where two maps {(k, word):
+    value} differ, walking their sorted key union; a missing key reads ZERO."""
+    for k, w in sorted(left.keys() | right.keys(), key=lambda key: (-key[0], Comp(key[1]).sort_key())):
+        a, b = left.get((k, w), ZERO), right.get((k, w), ZERO)
+        if a != b:
+            return k, w, a, b
+    return None
+
+
 def compositions(n):
     """Every word of degree n: a tuple s with sum(s_i + 1) == n."""
     if n == 0:
@@ -173,6 +190,9 @@ def compositions(n):
     for first in range(n):
         for rest in compositions(n - 1 - first):
             yield (first,) + rest
+
+
+WORDS = [w for n in range(4) for w in compositions(n)]
 
 
 class TestClosedForm:
@@ -511,8 +531,14 @@ class TestArbitrationAndVerify:
     def test_failed_arbitration_is_reported_not_raised(self, monkeypatch):
         # an operator oracle that neither rule reproduces: verify must
         # report the failed arbitration and exit 1, not crash
-        real = curvature.deformed_power
-        monkeypatch.setattr(curvature, "deformed_power", lambda n: real(n) + OperatorPoly.d())
+        real = curvature._operator_terms
+
+        def plus_d(n):
+            # d, the empty word at k = 1, comes first in its block
+            for k, terms in real(n):
+                yield k, [((), ONE), *terms] if k == 1 else terms
+
+        monkeypatch.setattr(curvature, "_operator_terms", plus_d)
         resolve_default_rule.cache_clear()
         try:
             report = verify_suite(3)
@@ -588,10 +614,14 @@ class TestArbitrationAndVerify:
     def test_wrong_recursion_fails_verify(self, monkeypatch):
         # maurer-cartan compares the recursion with the path model; no
         # production route reads the recursion
-        def wrong(n):
-            return maurer_cartan_element(n) + ElementPoly.from_word(*([0] * n))
+        real = curvature._maurer_cartan_terms
 
-        monkeypatch.setattr(curvature, "maurer_cartan_element", wrong)
+        def wrong(n):
+            # M(n) + a^n
+            for k, terms in real(n):
+                yield k, ((w, c + ONE if w == (0,) * n else c) for w, c in terms)
+
+        monkeypatch.setattr(curvature, "_maurer_cartan_terms", wrong)
         report = verify_suite(6)
         assert not report.passed
         failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
@@ -637,15 +667,13 @@ class TestArbitrationAndVerify:
     def test_stray_power_fails_maurer_cartan_at_its_dpow(self, monkeypatch):
         # maurer-cartan compares whole operators, so a coefficient of d^2
         # that should have vanished at the root is the first difference
-        real = curvature._path_model
+        real = curvature._path_terms
 
-        def stray(n, mode, rule, final):
-            right = real(n, mode, rule, final)
-            if (n, mode) != (4, "root"):
-                return right
-            return CurvatureExpansion(n, right.mode, right.rule, {**right.c, 2: ElementPoly.from_word(0, 0)})
+        def stray(n, mode, final, *args):
+            for k, terms in real(n, mode, final, *args):
+                yield k, [((0, 0), ONE)] if (n, mode, k) == (4, "root", 2) else terms
 
-        monkeypatch.setattr(curvature, "_path_model", stray)
+        monkeypatch.setattr(curvature, "_path_terms", stray)
         report = verify_suite(4)
         failing = {(c.check, c.n): c.counterexample for c in report.checks if not c.passed() and c.rule != "literal"}
         assert set(failing) == {("maurer-cartan", 4), ("reduction-commutes", 4)}
@@ -689,16 +717,16 @@ class TestArbitrationAndVerify:
         assert [n for n, rule in calls if rule is PREFIX] == [2, 3, 4, 5, 6]
 
     def test_verify_builds_each_path_root_once(self, monkeypatch):
-        # maurer-cartan and reduction-commutes share one path root per n
+        # maurer-cartan and reduction-commutes share one path-root stream per n
         calls = []
-        real = curvature._path_model
+        real = curvature._path_terms
 
-        def counted(n, mode, rule, final):
+        def counted(n, mode, final, *args):
             if mode == "root":
                 calls.append(n)
-            return real(n, mode, rule, final)
+            return real(n, mode, final, *args)
 
-        monkeypatch.setattr(curvature, "_path_model", counted)
+        monkeypatch.setattr(curvature, "_path_terms", counted)
         assert verify_suite(6).passed
         assert sorted(calls) == [2, 3, 4, 5, 6]
 
@@ -728,8 +756,12 @@ class TestArbitrationAndVerify:
             resolve_default_rule.cache_clear()
 
     def test_no_route_fills_the_all_steps_cache(self, capsys):
-        # forward_tables is the public all-steps view; nothing in the package reads it
+        # forward_tables is the public all-steps view; nothing in the package
+        # reads it.  verify and the arbitration stream the operator oracles,
+        # so only a direct call fills their caches
         forward_tables.cache_clear()
+        deformed_power.cache_clear()
+        maurer_cartan_element.cache_clear()
         resolve_default_rule.cache_clear()
         try:
             assert verify_suite(6).passed
@@ -737,17 +769,53 @@ class TestArbitrationAndVerify:
             path_expansion(5)
             path_root_expansion(5)
             assert run(["cq", "--s", "0,1", "--n", "6", "--rule", "literal"]) == 0
+            resolve_default_rule.cache_clear()
+            assert verify_suite(8).passed
+            assert resolve_default_rule() is PREFIX
+            assert four_step_listing_mismatches()
         finally:
             resolve_default_rule.cache_clear()
         capsys.readouterr()
         assert forward_tables.cache_info().currsize == 0
+        assert deformed_power.cache_info().currsize == 0
+        assert maurer_cartan_element.cache_info().currsize == 0
 
     def test_first_difference_reads_a_missing_key_as_zero(self):
-        first = curvature._first_difference
-        assert first({1: ONE}, {1: ONE}, order=lambda key: key) is None
-        assert first({1: ZERO}, {}, order=lambda key: key) is None
-        assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: key) == (1, ONE, ZERO)
-        assert first({1: ONE, 3: ONE}, {2: ONE, 3: ONE}, order=lambda key: -key) == (2, ZERO, ONE)
+        differences = curvature._differences
+        a, b = QPoly((0, 1)), QPoly((2,))
+        assert differences(stream({(1, (0,)): ONE}), stream({(1, (0,)): ONE})) == [None]
+        # a ZERO present on one side only
+        assert differences(stream({(1, (0,)): ZERO}), stream({})) == [None]
+        assert differences(stream({}), stream({(2, ()): ZERO, (0, (1,)): ONE})) == [(0, (1,), ZERO, ONE)]
+        # blocks with different sets of k: the higher power comes first
+        left = stream({(2, ()): ONE, (0, (1,)): ONE})
+        assert differences(left, stream({(1, (0,)): ONE, (0, (1,)): ONE})) == [(2, (), ONE, ZERO)]
+        # a difference only in a lower block, at its canonically first word
+        same = {(2, ()): ONE, (1, (0,)): a}
+        left = stream({**same, (0, (0, 0)): ONE, (0, (1,)): ONE})
+        right = stream({**same, (0, (0, 0)): b, (0, (1,)): b})
+        assert differences(left, right) == [(0, (1,), ONE, b)]
+        # one reference, several streams: each gets its own first difference
+        reference = {(2, ()): ONE, (1, (0,)): a, (0, (1,)): ONE}
+        assert differences(
+            stream(reference), stream(reference), stream({**reference, (1, (0,)): b}), stream({(2, ()): ONE})
+        ) == [None, (1, (0,), a, b), (1, (0,), a, ZERO)]
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 3), st.sampled_from(WORDS)),
+                st.sampled_from([ZERO, ONE, QPoly((0, 1)), QPoly((1, 1))]),
+                max_size=8,
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_differences_agree_with_a_sorted_key_union(self, maps):
+        reference, *others = maps
+        expected = [first_difference(reference, other) for other in others]
+        assert curvature._differences(stream(reference), *map(stream, others)) == expected
 
     def test_wrong_enumeration_reports_first_vertex(self, monkeypatch):
         # dp-vs-enum compares whole tables and names the canonically first

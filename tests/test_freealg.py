@@ -228,7 +228,7 @@ class TestWordCode:
     def test_decoded_in_canonical_order(self, degree):
         table = self.tables[degree]
         block = list(range(1, len(table) + 1))  # each offset's own coefficient
-        decoded = [(m.entries, c.coeffs) for m, c in _decoded(block, table, 64)]
+        decoded = [(w, c.coeffs) for w, c in _decoded(block, table, 64)]
         expect = sorted((Comp(w).sort_key(), w, (j + 1,)) for j, w in enumerate(table))
         assert decoded == [(w, coeffs) for _, w, coeffs in expect]
         assert block == [0] * len(table)  # every packed int is dropped once read

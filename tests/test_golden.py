@@ -3,7 +3,7 @@
 ``golden_cli.json`` maps each invocation below to its exit code and the
 SHA-256 of its stdout: every mode, format and rule of ``curvature`` for
 n <= 8, and its default-rule root text for 9 <= n <= 12, which runs the
-packed root decode on more lanes; ``verify`` at n = 3, 6 and 8 (below, at
+packed root decode on more lanes; ``verify`` at n = 3, 6, 8 and 10 (below, at
 and above the arbitration's fixed range), ``binom`` for n <= 6 and
 0 <= k <= n, ``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five
 vertices with both methods.  The ``curvature`` digests for n <= 8 and the
@@ -43,7 +43,7 @@ def invocations() -> list[tuple[str, ...]]:
                     out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
     for n in range(9, 13):
         out.append(("curvature", "--n", str(n), "--mode", "root", "--format", "text", "--rule", "default"))
-    for n in (3, 6, 8):
+    for n in (3, 6, 8, 10):
         for fmt in ("text", "json"):
             for rule in RULES:
                 out.append(("verify", "--n", str(n), "--format", fmt, "--rule", rule))
