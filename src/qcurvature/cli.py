@@ -6,9 +6,12 @@ coefficients), ``verify`` (cross-validation suite).  Output formats:
 text, latex, json; every ``curvature`` format reads one stream of terms
 (``curvature.expansion_terms``): text and LaTeX are written term by term
 as they are computed, JSON is built as one value and written at the end.
-Exit codes: 0 success, 1 verification failure, 2 argument error, 3
-unexpected internal error (one line on stderr), 141 stdout closed by its
-reader (nothing on stderr).  All output is deterministic.
+``cq``, ``binom`` and ``infinitesimal`` share one writer
+(:func:`_write_polys`), which reduces their values at the root in ``--mode
+root`` and writes them in each format.  Exit codes: 0 success, 1
+verification failure, 2 argument error, 3 unexpected internal error (one
+line on stderr), 141 stdout closed by its reader (nothing on stderr); ``run``
+maps every outcome to its code in one place.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import os
 import sys
 
 from .curvature import (
-    InfinitesimalCoefficients,
     expansion_json,
     expansion_terms,
     infinitesimal_coefficients,
@@ -118,14 +120,26 @@ def _require(condition: bool, parser_message: str) -> None:
         raise SystemExit(2)
 
 
-def _poly_out(value: QPoly, fmt: str, payload: dict) -> None:
-    if fmt == "text":
-        print(value)
-    elif fmt == "latex":
-        print(value.latex())
-    else:
-        payload["value"] = coeffs_list(value)
+def _write_polys(
+    args: argparse.Namespace, payload: dict, values: tuple[QPoly, ...], labelled: bool = False
+) -> int:
+    """Write ``values``, each reduced modulo Phi_n in ``--mode root``, in ``--format``.
+
+    Text and LaTeX take one line per value, ``m=<index>: `` in front when
+    ``labelled``.  JSON is ``payload`` with the coefficient lists added under
+    ``"coeffs"`` when ``labelled``, else the one value's under ``"value"``.
+    """
+    if args.mode == "root":
+        values = tuple(map(CycloModulus.of(args.n).reduce, values))
+    if args.format == "json":
+        lists = [coeffs_list(value) for value in values]
+        payload.update({"coeffs": lists} if labelled else {"value": lists[0]})
         _emit_json(payload)
+        return 0
+    show = QPoly.latex if args.format == "latex" else str
+    for m, value in enumerate(values):
+        print(f"m={m}: {show(value)}" if labelled else show(value))
+    return 0
 
 
 def _run_curvature(args: argparse.Namespace) -> int:
@@ -151,52 +165,22 @@ def _run_cq(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "cq --mode root needs --n >= 2")
     rule = _resolve_rule(args)
     compute = path_sum_dp if args.method == "dp" else path_sum_enum
-    value = compute(args.s, args.n, rule)
-    if args.mode == "root":
-        value = CycloModulus.of(args.n).reduce(value)
-    payload = {
-        "n": args.n,
-        "s": list(args.s.entries),
-        "rule": rule.value,
-        "method": args.method,
-        "mode": args.mode,
-    }
-    _poly_out(value, args.format, payload)
-    return 0
+    payload = {"n": args.n, "s": list(args.s.entries), "rule": rule.value,
+               "method": args.method, "mode": args.mode}
+    return _write_polys(args, payload, (compute(args.s, args.n, rule),))
 
 
 def _run_binom(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "binom --mode root needs --n >= 2")
-    value = q_binomial(args.n, args.k)
-    if args.mode == "root":
-        value = CycloModulus.of(args.n).reduce(value)
     payload = {"n": args.n, "k": args.k, "mode": args.mode}
-    _poly_out(value, args.format, payload)
-    return 0
+    return _write_polys(args, payload, (q_binomial(args.n, args.k),))
 
 
 def _run_infinitesimal(args: argparse.Namespace) -> int:
     _require(args.n >= 2, "infinitesimal needs --n >= 2")
     rule = _resolve_rule(args)
-    coeffs: InfinitesimalCoefficients = infinitesimal_coefficients(args.n, rule)
-    if args.mode == "root":
-        coeffs = coeffs.reduced(CycloModulus.of(args.n))
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "mode": args.mode,
-                "rule": rule.value,
-                "coeffs": [coeffs_list(c) for c in coeffs.coeffs],
-            }
-        )
-    elif args.format == "latex":
-        for m, c in enumerate(coeffs.coeffs):
-            print(f"m={m}: {c.latex()}")
-    else:
-        for m, c in enumerate(coeffs.coeffs):
-            print(f"m={m}: {c}")
-    return 0
+    payload = {"n": args.n, "mode": args.mode, "rule": rule.value}
+    return _write_polys(args, payload, infinitesimal_coefficients(args.n, rule).coeffs, labelled=True)
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -213,19 +197,13 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here at the latest, not at exit
         return code
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse's errors and --help, and _require
+        return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:
         # the reader has gone (as with `| head`): end quietly, as a SIGPIPE
         # would; stdout goes to devnull so the flush at exit cannot raise

@@ -220,22 +220,34 @@ def _path_terms(
         yield k, ((words.render(s.entries), present(c)) for s, c in values if c)
 
 
+def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
+    """Blocks, words as entries, gathered into element coefficients, keys
+    ascending, vanished ones dropped."""
+    c = {k: ElementPoly({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
+    return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
+
+
+def _expansion(
+    n: int, mode: str, rule: WeightRule | None, blocks: Callable[[WeightRule], Blocks]
+) -> CurvatureExpansion:
+    """The expansion in ``mode`` that ``blocks(rule)`` streams, gathered: n is checked
+    against the mode's range first, then ``rule`` resolved (None is the arbitrated default)."""
+    if n < (1 if mode == GENERIC else 2):
+        raise ValueError("n must be positive" if mode == GENERIC else "root-of-unity mode needs n >= 2")
+    rule = rule if rule is not None else resolve_default_rule()
+    return CurvatureExpansion(n, mode, rule, _gathered(blocks(rule)))
+
+
 def path_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion assembled from weighted path sums (an oracle):
     :func:`_path_terms` over the dynamic program's table n (:func:`_last_table`), gathered."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rule = rule if rule is not None else resolve_default_rule()
-    return CurvatureExpansion(n, GENERIC, rule, _gathered(_path_terms(n, GENERIC, _last_table(n, rule))))
+    return _expansion(n, GENERIC, rule, lambda rule: _path_terms(n, GENERIC, _last_table(n, rule)))
 
 
 def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Expansion at a primitive n-th root of unity from the path model (an
     oracle): :func:`_path_terms` at the root, over the same last table, gathered."""
-    if n < 2:
-        raise ValueError("root-of-unity mode needs n >= 2")
-    rule = rule if rule is not None else resolve_default_rule()
-    return CurvatureExpansion(n, ROOT, rule, _gathered(_path_terms(n, ROOT, _last_table(n, rule))))
+    return _expansion(n, ROOT, rule, lambda rule: _path_terms(n, ROOT, _last_table(n, rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +423,10 @@ def expansion_terms(
     return _path_terms(n, mode, _last_table(n, rule), words, present)
 
 
-def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
-    """Blocks, words as entries, gathered into element coefficients, keys
-    ascending, vanished ones dropped."""
-    c = {k: ElementPoly({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
-    return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
-
-
 def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
     """Generic-mode expansion, gathered from :func:`expansion_terms`: the power
     formula under the oracle-arbitrated rule, else :func:`path_expansion`."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rule = rule if rule is not None else resolve_default_rule()
-    return CurvatureExpansion(n, GENERIC, rule, _gathered(expansion_terms(n, GENERIC, rule)))
+    return _expansion(n, GENERIC, rule, partial(expansion_terms, n, GENERIC))
 
 
 def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:
@@ -432,10 +434,7 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     :func:`expansion_terms`: under the oracle-arbitrated rule M(n) reduced
     modulo the n-th cyclotomic polynomial, as c[0] (dropped when zero), else
     :func:`path_root_expansion`."""
-    if n < 2:
-        raise ValueError("root-of-unity mode needs n >= 2")
-    rule = rule if rule is not None else resolve_default_rule()
-    return CurvatureExpansion(n, ROOT, rule, _gathered(expansion_terms(n, ROOT, rule)))
+    return _expansion(n, ROOT, rule, partial(expansion_terms, n, ROOT))
 
 
 def binomial_expansion(n: int) -> OperatorPoly:
@@ -503,8 +502,7 @@ def infinitesimal_coefficients(
     if n < 2:
         raise ValueError("n must be at least 2")
     rule = rule if rule is not None else resolve_default_rule()
-    spine = [Comp(())] + [Comp((j,)) for j in range(n)]
-    stay = [v.degree() for v in spine]
+    stay = list(range(n + 1))  # the spine's degrees: 0 for the empty word, j + 1 for (j)
     # the prepend step is weight 1; then raise the single entry j to j + 1
     move = [0] + [rule.increment_exponents((j,))[0] for j in range(n - 1)]
     return InfinitesimalCoefficients(n, tuple(_spine_dp(n, stay, move)[1:]))

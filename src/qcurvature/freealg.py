@@ -57,9 +57,7 @@ class Term(Frozen):
     __slots__ = ("coeff", "mono", "dpow")
 
     def __init__(self, coeff: QPoly, mono: Comp, dpow: int):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "mono", mono)
-        object.__setattr__(self, "dpow", dpow)
+        self._fill(coeff, mono, dpow)
 
 
 def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:

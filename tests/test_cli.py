@@ -421,3 +421,41 @@ class TestScriptedInvocations:
         proc = self.script("cq", "--n", "3")
         assert proc.returncode == 2
         assert proc.stderr.strip() != ""
+
+
+# Seeds 0 and 2 order the two members of ``WeightRule`` differently in a set
+# (``test_the_seeds_order_a_set_of_rules_differently``), so output that
+# follows the iteration order of str-hashed values differs between them.
+HASH_SEEDS = ("0", "2")
+SEEDED_INVOCATIONS = [
+    ("curvature", "--n", "6", "--mode", "root", "--format", "text"),
+    ("curvature", "--n", "5", "--mode", "generic", "--format", "json"),
+    ("curvature", "--n", "6", "--mode", "root", "--rule", "literal"),
+    ("verify", "--n", "5", "--format", "json"),
+    ("cq", "--n", "5", "--s", "1,0,1", "--mode", "generic", "--format", "json"),
+    ("binom", "--n", "6", "--k", "3", "--mode", "generic", "--format", "json"),
+    ("infinitesimal", "--n", "5", "--format", "json"),
+]
+
+
+def seeded_run(seed: str, *argv: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python argv`` in a fresh process under ``PYTHONHASHSEED=seed``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestHashSeed:
+    """Output is the same bytes under every hash seed."""
+
+    def test_the_seeds_order_a_set_of_rules_differently(self):
+        probe = "from qcurvature.paths import WeightRule; print([r.value for r in set(WeightRule)])"
+        orders = {seeded_run(seed, "-c", probe) for seed in HASH_SEEDS}
+        assert len(orders) == len(HASH_SEEDS)
+
+    @pytest.mark.parametrize("argv", SEEDED_INVOCATIONS, ids=" ".join)
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        first, second = (seeded_run(seed, "-m", "qcurvature", *argv) for seed in HASH_SEEDS)
+        assert first[0] == 0, first[2]
+        assert first == second
