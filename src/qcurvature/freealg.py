@@ -19,9 +19,11 @@ the rewrite rule alone.  Each kind of rewrite sends evenly spaced codes to
 evenly spaced codes, so a step is a few list-slice additions.  Each word is
 decoded once, at the end, from a table of the words of each degree built from
 the previous degree's, in canonical order, into a (k, terms) stream that verify
-reads and only the public functions gather.  They share no packing code with
-the production route.  The general :class:`OperatorPoly` product is kept for
-arbitrary operators.
+reads and only the public functions gather.  Each distinct packed int of a
+block is unpacked once and its QPoly shared by every word holding it: below
+the lane bound packing is injective, and a QPoly is immutable.  They share no
+packing or decoding code with the production route.  The general
+:class:`OperatorPoly` product is kept for arbitrary operators.
 """
 
 from __future__ import annotations
@@ -366,7 +368,11 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # Each move sends evenly spaced offsets to evenly spaced offsets, so a step
 # is a few list-slice additions whose per-element work runs in C.  Each
 # word is decoded to a Comp once, at the end, from a table of the words of
-# each degree built from the previous degree's, in canonical order.
+# each degree built from the previous degree's, in canonical order.  Each
+# distinct packed int of a block is unpacked once, and its QPoly is shared by
+# every word of the block that holds it: below the lane bound (next paragraph)
+# packing is injective, so equal ints are equal polynomials, and a QPoly is
+# immutable.  The memo lives for one block only.
 #
 # A coefficient sum_e c_e q^e is packed as the int sum_e c_e 2^(lane*e)
 # (Kronecker substitution), so a shift by q^e is x << (lane*e) and a sum of
@@ -458,15 +464,25 @@ def _decoded(
     """The words of ``block``, as entries, and their coefficients, in canonical word order.
 
     Within a degree that order is by length, the offset's popcount, then by
-    offset descending.  Each packed int is dropped once it is read.
+    offset descending.  Each packed int is dropped once it is read.  Each
+    distinct int of the block is unpacked once, and every word holding it
+    gets the same :class:`QPoly`: below the lane bound packing is injective,
+    so equal ints are equal polynomials, and a QPoly is immutable.
 
     >>> block, words = [1, 1 + (1 << 64), 1, 1], _next_words(_next_words([(0,)]))
-    >>> [(w, c.coeffs) for w, c in _decoded(block, words, 64)]
+    >>> terms = list(_decoded(block, words, 64))
+    >>> [(w, c.coeffs) for w, c in terms]
     [((2,), (1,)), ((1, 0), (1,)), ((0, 1), (1, 1)), ((0, 0, 0), (1,))]
+    >>> terms[0][1] is terms[1][1]  # two words holding the int 1 share one QPoly
+    True
     """
+    seen: dict[int, QPoly] = {}
     for j in sorted(range(len(block) - 1, -1, -1), key=int.bit_count):
         x, block[j] = block[j], 0
-        yield words[j], _unpack_lanes(x, lane)
+        coeff = seen.get(x)
+        if coeff is None:
+            coeff = seen[x] = _unpack_lanes(x, lane)
+        yield words[j], coeff
 
 
 def _lane_bits(n: int) -> int:

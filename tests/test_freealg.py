@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcurvature import freealg
 from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
@@ -232,6 +233,36 @@ class TestWordCode:
         expect = sorted((Comp(w).sort_key(), w, (j + 1,)) for j, w in enumerate(table))
         assert decoded == [(w, coeffs) for _, w, coeffs in expect]
         assert block == [0] * len(table)  # every packed int is dropped once read
+
+    def test_decoded_unpacks_each_distinct_int_once(self, monkeypatch):
+        table = self.tables[4]
+        values = [5, 7, 5, 9, 7, 5, 5, 9]
+        block = list(values)
+        unpacked = []
+
+        def counted(x, lane):
+            unpacked.append(x)
+            return _unpack_lanes(x, lane)
+
+        monkeypatch.setattr(freealg, "_unpack_lanes", counted)
+        decoded = list(_decoded(block, table, 64))
+        order = sorted(range(len(table)), key=lambda j: Comp(table[j]).sort_key())
+        assert [(w, c.coeffs) for w, c in decoded] == [(table[j], (values[j],)) for j in order]
+        assert sorted(unpacked) == [5, 7, 9]
+        by_value = {}
+        for j, (_, coeff) in zip(order, decoded):
+            assert by_value.setdefault(values[j], coeff) is coeff
+        assert block == [0] * len(table)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equal_coefficients_are_one_object(self, n):
+        # each d^k block of D^n, and M(n), holds one QPoly per distinct value
+        blocks = {}
+        for t in deformed_power(n).terms():
+            blocks.setdefault(t.dpow, []).append(t.coeff)
+        blocks["M"] = [c for _, c in maurer_cartan_element(n).items()]
+        for key, coeffs in blocks.items():
+            assert len({id(c) for c in coeffs}) == len({c.coeffs for c in coeffs}), key
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_d0_part_of_power_is_maurer_cartan_element(self, n):
