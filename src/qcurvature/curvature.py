@@ -5,14 +5,15 @@ element coefficients times powers of d.  This module assembles that
 expansion three independent ways (weighted path model, direct operator
 expansion, q-binomial power formula), reduces it at roots of unity,
 extracts the first-order (infinitesimal) coefficients, and packages all
-pairwise consistency checks into a verification report, each check one merge
+pairwise consistency checks into a verification report, most checks one merge
 of two (k, terms) streams (:func:`_differences`).
 
 Routes.  The power formula is the production route of both modes under the
-oracle-arbitrated weight rule, with M(k) = D^(k-1) a taken from its closed
-product formula by one walk in canonical word order (:func:`_closed_form_walk`),
-streamed by :func:`production_terms`.  :func:`expansion_terms` is the one
-place where a rule picks its route: the arbitrated rule reads that stream,
+oracle-arbitrated weight rule, streamed by :func:`production_terms` from one
+packed q-Pascal table per call at one width: its last row gives [n choose k]_q,
+and one walk in canonical word order (:func:`_closed_form_walk`) reads it for
+the closed product formula of M(k) = D^(k-1) a.  :func:`expansion_terms` is
+the one place where a rule picks its route: the arbitrated rule reads that stream,
 and any other rule, which the power formula does not cover, reads the path
 model's stream (:func:`_path_terms`) in the same (k, terms) shape.  The
 library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`)
@@ -273,7 +274,10 @@ def path_root_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpa
 # C(P_i + s_i, s_i) <= (P_i + s_i)! / P_i! = (P_{i+1} - 1)! / P_i!, and the
 # product of these telescopes to at most (n-1)!.  Scaled by [N choose n]_q
 # the bound is C(N, n) * (n-1)!.  :func:`_packing_bits` leaves one bit to
-# spare, which root mode needs (see :func:`production_terms`).
+# spare, which root mode needs (see :func:`production_terms`).  One width,
+# the largest over n = 1..N, thus holds every block of a call, and each factor
+# of a block's product too, being at least 1 at q = 1: the walk's partial
+# products, its table's entries, and row N's [N choose n]_q, the blocks' scalars.
 
 
 def _packing_bits(big_n: int, n: int) -> int:
@@ -281,55 +285,50 @@ def _packing_bits(big_n: int, n: int) -> int:
     return (comb(big_n, n) * factorial(n - 1)).bit_length() + 1
 
 
-def _pack(p: QPoly, bits: int) -> int:
-    return sum(c << (bits * e) for e, c in enumerate(p.coeffs))
-
-
 def _unpack(x: int, bits: int) -> list[int]:
-    """Inverse of :func:`_pack` for nonnegative coefficients below 2^bits,
-    exactly up to the leading one."""
+    """The coefficients packed in ``x`` at ``bits`` bits per power of q, up to the leading one."""
     mask = (1 << bits) - 1
     return [(x >> (bits * e)) & mask for e in range(-(-x.bit_length() // bits))]
 
 
-def _closed_form_walk(
-    n: int, bits: int, start: int = 1, words: Words = Entries
-) -> Iterator[tuple[object, int]]:
-    """Every word of degree n with ``start`` times its closed-form coefficient in M(n).
+def _binomial_rows(n: int, bits: int) -> list[list[int]]:
+    """Rows 0..n-1 of the q-Pascal triangle: ``rows[m][j]`` is [m choose j]_q, packed at ``bits``."""
+    rows = [[1]]
+    for m in range(1, n):
+        above = rows[-1]
+        rows.append([1] + [above[j - 1] + (above[j] << (bits * j)) for j in range(1, m)] + [1])
+    return rows
+
+
+def _closed_form_walk(n: int, rows: list[list[int]], words: Words = Entries) -> Iterator[tuple[object, int]]:
+    """Every word of degree n with its closed-form coefficient in M(n), packed.
 
     Words come in canonical order (:meth:`Comp.sort_key`: by length, then
     from the last entry backwards), built by ``words`` (see
-    :class:`Entries`); coefficients are packed at ``bits`` bits per power of
-    q, and ``start`` is a packed polynomial.  For each length the walk fixes
-    the last entry first, depth-first.  A suffix of degree D leaves room
-    n - D, so the entry s_i in front of it has P_i + s_i = n - D - 1 and its
-    factor is known from the suffix: extending costs one multiply by a
-    packed Gaussian binomial, and the first entry's factor is 1.  Nothing is
-    collected or sorted.  The caller picks ``bits`` large enough
-    (:func:`_packing_bits`).  The word (0, 1, 1) of M(5) has coefficient
-    [2]_q * [4]_q:
+    :class:`Entries`); coefficients are products of entries of ``rows``
+    (:func:`_binomial_rows`, at least n rows), packed at their width.  For
+    each length the walk fixes the last entry first, depth-first.  A suffix
+    of degree D leaves room n - D, so the entry s_i in front of it has
+    P_i + s_i = n - D - 1 and its factor is known from the suffix: extending
+    costs one multiply by a packed Gaussian binomial, and the first entry's
+    factor is 1.  Nothing is collected or sorted.  The caller picks the
+    width large enough (:func:`_packing_bits`).  The word (0, 1, 1) of M(5)
+    has coefficient [2]_q * [4]_q:
 
-    >>> packed = dict(_closed_form_walk(5, 8))
+    >>> packed = dict(_closed_form_walk(5, _binomial_rows(5, 8)))
     >>> _unpack(packed[(0, 1, 1)], 8)
     [1, 2, 2, 2, 1]
     """
-    # binomials[m][j] is [m choose j]_q, packed, for m < n
-    binomials = [[1]]
-    for m in range(1, n):
-        above = binomials[-1]
-        binomials.append(
-            [1] + [above[j - 1] + (above[j] << (bits * j)) for j in range(1, m)] + [1]
-        )
     prepend, finish = words.prepend, words.finish
     for length in range(1, n + 1):
         # (suffix, entries left to place, room left for them, packed product over the suffix)
-        stack = [(words.empty, length, n, start)]
+        stack = [(words.empty, length, n, 1)]
         while stack:
             suffix, left, room, product = stack.pop()
             if left == 1:
                 yield finish(prepend(room - 1, suffix)), product
                 continue
-            row = binomials[room - 1]
+            row = rows[room - 1]
             # every entry still to place takes at least 1 of the room; pushed
             # high to low, so the stack hands them back ascending
             for entry in range(room - left, -1, -1):
@@ -370,17 +369,19 @@ def production_terms(
     coefficients skipped; read each ``terms`` before the next power.
 
     Generic mode: c[n] = 1 and c[n-k] = [n choose k]_q * M(k), M(k) from
-    :func:`_closed_form_walk` with the binomial as its packed start.  Root
+    :func:`_closed_form_walk` over one q-Pascal table per call, whose row n
+    scales each distinct packed coefficient before its one decode.  Root
     mode: every middle Gaussian binomial vanishes at the root, so only c[0]
     = M(n) reduced modulo Phi_n survives.  Each word's coefficient is folded
     modulo q^n - 1 while packed, then divided by Phi_n.
     """
+    bits = max(_packing_bits(n, m) for m in range(1, n + 1))
+    rows = _binomial_rows(n + 1, bits)
     if mode == ROOT:
         # Adding x >> width onto x & ring adds lane e + n onto lane e, so the
         # loop folds x modulo q^n - 1, packed.  The folded coefficients sum
         # to at most (n-1)! < 2^(bits-1), so no lane carries into the next,
         # and the loop ends at the fold itself, below ring: at most n lanes.
-        bits = _packing_bits(n, n)
         width = bits * n
         ring = (1 << width) - 1
         modulus = CycloModulus.of(n)
@@ -395,18 +396,14 @@ def production_terms(
 
         for k in range(n - 1, 0, -1):
             yield k, iter(())
-        folded = ((word, fold(x)) for word, x in _closed_form_walk(n, bits, 1, words))
+        folded = ((word, fold(x)) for word, x in _closed_form_walk(n, rows, words))
         yield 0, _distinct(folded, reduce_folded, present)
         return
     yield n, iter([(words.finish(words.empty), present(ONE))])
     for k in range(n - 1, -1, -1):
-        bits = _packing_bits(n, n - k)
-        walk = _closed_form_walk(n - k, bits, _pack(q_binomial(n, n - k), bits), words)
-        yield k, _distinct(walk, partial(_unpacked, bits=bits), present)
-
-
-def _unpacked(x: int, bits: int) -> QPoly:
-    return QPoly._trusted(tuple(_unpack(x, bits)))
+        def scaled(x: int, binomial: int = rows[n][k]) -> QPoly:
+            return QPoly._trusted(tuple(_unpack(x * binomial, bits)))
+        yield k, _distinct(_closed_form_walk(n - k, rows, words), scaled, present)
 
 
 def expansion_terms(
@@ -857,14 +854,18 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     """Run every cross-check and return a structured report.
 
     dp-vs-enum (exponential path enumeration) is capped at n = 5; every
-    other check runs at each n from 2 to ``n_max``.  Failures are
-    recorded as data, never raised: every failing check compares two
-    routes and names their canonically first difference as its
-    counterexample.  maurer-cartan compares the whole reduced path
-    expansion with M(n) * d^0, so a stray power d^k is reported as
-    ``dpow = k``.  When ``rule`` is given the rule-dependent checks run
-    under it (and gate the overall result); otherwise the
-    oracle-arbitrated default is used.
+    other check runs at each n from 2 to ``n_max``.  Failures are data,
+    never raised.  oracle-equivalence, maurer-cartan, binomial-formula and
+    reduction-commutes compare two routes and name their canonically first
+    difference's values ``production_value``, ``path_value`` or
+    ``oracle_value``; infinitesimal compares three routes (``path_value``,
+    ``operator_value``, ``binomial_value``), then the root reduction
+    (``reduced``); dp-vs-enum names ``dp`` and ``enum``; and
+    weight-rule-arbitration carries the arbitration dict.  maurer-cartan
+    compares the whole reduced path expansion with M(n) * d^0, so a stray
+    power d^k is reported as ``dpow = k``.  When ``rule`` is given the
+    rule-dependent checks run under it (and gate the overall result);
+    otherwise the oracle-arbitrated default is used.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

@@ -504,8 +504,6 @@ def _unpack_lanes(x: int, lane: int) -> QPoly:
     words = memoryview(x.to_bytes(size, sys.byteorder)).cast("Q")
     if sys.byteorder == "big":
         words = words[::-1]
-    if width == 1:
-        return QPoly._trusted(tuple(words))
     lanes = words[::width].tolist()
     for j in range(1, width):
         lanes = [low | high << (64 * j) for low, high in zip(lanes, words[j::width])]

@@ -238,16 +238,49 @@ class TestClosedFormWalk:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_walk_is_in_canonical_order_with_every_word_once(self, n):
-        words = [s for s, _ in curvature._closed_form_walk(n, 8)]
+        words = [s for s, _ in curvature._closed_form_walk(n, curvature._binomial_rows(n, 8))]
         assert words == sorted(compositions(n), key=lambda s: Comp(s).sort_key())
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_carried_word_text_is_the_word_text(self, n):
-        bits = curvature._packing_bits(n, n)
-        entries = [s for s, _ in curvature._closed_form_walk(n, bits)]
+        rows = curvature._binomial_rows(n, curvature._packing_bits(n, n))
+        entries = [s for s, _ in curvature._closed_form_walk(n, rows)]
         for style, render in ((TEXT, Comp.text), (LATEX, Comp.latex)):
-            carried = [text for text, _ in curvature._closed_form_walk(n, bits, 1, style)]
+            carried = [text for text, _ in curvature._closed_form_walk(n, rows, style)]
             assert carried == [render(Comp(s)) for s in entries]
+
+    @staticmethod
+    def table_calls(monkeypatch):
+        """Record the (n, bits) of every ``_binomial_rows`` call."""
+        real, calls = curvature._binomial_rows, []
+
+        def recorded(n, bits):
+            calls.append((n, bits))
+            return real(n, bits)
+
+        monkeypatch.setattr(curvature, "_binomial_rows", recorded)
+        return calls
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_table_is_the_windowed_q_binomial(self, n, monkeypatch):
+        # production builds every Gaussian binomial by q-Pascal: its rows, at
+        # the width production packs them, must equal cyclo's windowed product
+        calls = self.table_calls(monkeypatch)
+        next(iter(curvature.production_terms(n, "generic")))
+        [(size, bits)] = calls
+        rows = curvature._binomial_rows(size, bits)
+        assert [len(row) for row in rows] == list(range(1, n + 2))
+        for m, row in enumerate(rows):
+            for j, packed in enumerate(row):
+                assert curvature._unpack(packed, bits) == list(q_binomial(m, j).coeffs), (m, j)
+
+    @pytest.mark.parametrize("mode", ["generic", "root"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_one_table_per_production_call(self, n, mode, monkeypatch):
+        calls = self.table_calls(monkeypatch)
+        for _, terms in curvature.production_terms(n, mode):
+            list(terms)
+        assert [size for size, _ in calls] == [n + 1]
 
 
 class TestBinomialExpansion:
@@ -568,9 +601,9 @@ class TestArbitrationAndVerify:
             assert run(argv) == 0
             right.append(capsys.readouterr().out)
 
-        def wrong(n, bits, start=1, words=Entries):
+        def wrong(n, rows, words=Entries):
             # add 1 to the packed coefficient of the word a^n, the last one
-            walk = list(real(n, bits, start, words))
+            walk = list(real(n, rows, words))
             word, x = walk.pop()
             return walk + [(word, x + 1)]
 

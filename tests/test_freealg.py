@@ -266,7 +266,12 @@ class TestWordCode:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_d0_part_of_power_is_maurer_cartan_element(self, n):
-        # the two oracles share only the word code: D^n's d^0 part is M(n)
+        # D^n's d^0 part is M(n): this checks decoding and gathering only.
+        # Both oracles run the same _raised steps on the same inputs (the top
+        # block of D^(m+1) is _raised of that of D^m, as M(m+1) is of M(m)),
+        # so a fault there passes here; test_matches_general_product,
+        # test_step_matches_general_product and
+        # TestMaurerCartan::test_recursion_soundness check the recursion
         d0 = {t.mono: t.coeff for t in deformed_power(n).terms() if t.dpow == 0}
         assert ElementPoly(d0) == maurer_cartan_element(n)
 
