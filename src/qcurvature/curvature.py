@@ -75,7 +75,7 @@ from .paths import (
     _last_table,
     _path_sums_enum,
     _steps,
-    stay_count,
+    _word_order,
 )
 
 GENERIC = "generic"
@@ -84,6 +84,7 @@ ROOT = "root"
 
 Blocks = Iterable[tuple[int, Iterable[tuple[object, object]]]]
 Words = type[Entries] | WordStyle
+Table = Mapping[tuple, QPoly]  # a step table of the path model, keyed by entries
 
 
 def _identity(value: QPoly) -> QPoly:
@@ -199,7 +200,7 @@ def _json_list(value: object) -> tuple:
 
 
 def _path_terms(
-    n: int, mode: str, final: Mapping[Comp, QPoly], words: Words = Entries,
+    n: int, mode: str, final: Table, words: Words = Entries,
     present: Callable[[QPoly], object] = _identity,
 ) -> Blocks:
     """The path model's expansion of ``mode`` from ``final``, the dynamic
@@ -212,13 +213,13 @@ def _path_terms(
     n-th cyclotomic polynomial; coefficients that vanish are skipped.
     """
     reduce = CycloModulus.of(n).reduce if mode == ROOT else _identity
-    by_power: dict[int, list[Comp]] = {}
+    by_power: dict[int, list[tuple[int, ...]]] = {}
     for s in final:
-        by_power.setdefault(stay_count(s, n), []).append(s)
+        by_power.setdefault(n - sum(s) - len(s), []).append(s)  # n minus the degree of s
     for k in range(n if mode == GENERIC else n - 1, -1, -1):
-        found = sorted(by_power.pop(k, ()), key=Comp.sort_key)
+        found = sorted(by_power.pop(k, ()), key=_word_order)
         values = ((s, reduce(final[s])) for s in found)
-        yield k, ((words.render(s.entries), present(c)) for s, c in values if c)
+        yield k, ((words.render(s), present(c)) for s, c in values if c)
 
 
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
@@ -582,7 +583,7 @@ def infinitesimal_composition_sum(
 ARBITRATION_N_MAX = 6
 
 
-def _oracle_rows(rule: WeightRule, tables: Iterable[Mapping[Comp, QPoly]]) -> Iterator[CheckResult]:
+def _oracle_rows(rule: WeightRule, tables: Iterable[Table]) -> Iterator[CheckResult]:
     """The oracle-equivalence rows of ``rule``, one per table n >= 2 of a DP pass, built as read."""
     return (_check_oracle_equivalence(n, rule, table) for n, table in enumerate(tables) if n >= 2)
 
@@ -745,8 +746,8 @@ def _differences(reference: Blocks, *streams: Blocks) -> list[tuple | None]:
     The walk stops once every stream has differed.
     """
     found: list[tuple | None] = [None] * len(streams)
-    # (key, word, value) for each term, the key ordering by -k, then Comp.sort_key
-    flat = [(((-k, len(w), w[::-1]), w, value) for k, terms in blocks for w, value in terms)
+    # (key, word, value) for each term, the key ordering by -k, then the canonical word order
+    flat = [(((-k, _word_order(w)), w, value) for k, terms in blocks for w, value in terms)
             for blocks in (reference, *streams)]
     heads = [next(terms, None) for terms in flat]
     while None in found and any(heads):
@@ -773,12 +774,12 @@ def _compared(check: str, n: int, rule: WeightRule | None, found: tuple | None,
     return _row(check, n, rule, {"n": n, "s": list(word), "dpow": k, **named})
 
 
-def _check_oracle_equivalence(n: int, rule: WeightRule, final: Mapping[Comp, QPoly]) -> CheckResult:
+def _check_oracle_equivalence(n: int, rule: WeightRule, final: Table) -> CheckResult:
     [found] = _differences(_path_terms(n, GENERIC, final), _operator_terms(n))
     return _compared("oracle-equivalence", n, rule, found, {"path_value": 0, "oracle_value": 1})
 
 
-def _check_roots(n: int, rule: WeightRule, final: Mapping, production: bool) -> list[CheckResult]:
+def _check_roots(n: int, rule: WeightRule, final: Table, production: bool) -> list[CheckResult]:
     """maurer-cartan at n, then reduction-commutes when ``production``, both
     against one path-root stream over ``final``, the dynamic program's table n:
     M(n) * d^0 reduced at the root, so a stray coefficient of d^k, k >= 1, is a
@@ -823,11 +824,11 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
     return _row("infinitesimal", n, rule, bad)
 
 
-def _check_dp_enum(n: int, tables: Mapping[WeightRule, Mapping[Comp, QPoly]]) -> CheckResult:
+def _check_dp_enum(n: int, tables: Mapping[WeightRule, Table]) -> CheckResult:
     """Each rule's table n of its DP pass, in ``tables``, against its paths
-    enumerated: each table's items in canonical order are one block."""
+    enumerated, both keyed by entries: each table's items in canonical order are one block."""
     for rule, table in tables.items():
-        dp, enum = ([(0, ((s.entries, v) for s, v in sorted(t.items())))]
+        dp, enum = ([(0, sorted(t.items(), key=lambda item: _word_order(item[0])))]
                     for t in (table, _path_sums_enum(n, rule)))
         [found] = _differences(dp, enum)
         if found is not None:
@@ -847,7 +848,7 @@ def four_step_listing_mismatches() -> tuple[ListingMismatch, ...]:
             stated = REFERENCE_FOUR_STEP_WEIGHTS.get(word)
             if stated is not None and poly_from_coeffs(stated) != computed:
                 out.append(ListingMismatch(word, stated, tuple(computed.coeffs)))
-    return tuple(sorted(out, key=lambda mismatch: Comp(mismatch.s).sort_key()))
+    return tuple(sorted(out, key=lambda mismatch: _word_order(mismatch.s)))
 
 
 def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport:
@@ -912,7 +913,7 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     mismatches = four_step_listing_mismatches()
     three_step = {
         "missing_word": [0, 0, 0],
-        "computed_coeff": coeffs_list(kept[selected][3][Comp((0, 0, 0))]),
+        "computed_coeff": coeffs_list(kept[selected][3][(0, 0, 0)]),
         "note": THREE_STEP_DISPLAY_NOTE,
     }
 

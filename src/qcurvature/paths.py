@@ -9,7 +9,8 @@ enumeration and by forward dynamic programming.  Under the oracle-arbitrated
 weight rule both are oracles for the q-binomial power formula, the
 production route; under any other rule the dynamic program is the route
 that serves the expansion, with enumeration its oracle.  Every reader
-streams the dynamic program's step tables, two live (:func:`_steps`).
+streams the dynamic program's step tables, two live (:func:`_steps`), keyed
+by entries tuples; only the public functions build or read a :class:`Comp`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .cyclo import ONE, ZERO, Frozen, QPoly, int_tuple
+
+
+def _word_order(entries: tuple[int, ...]) -> tuple:
+    """The canonical order of words as entries: by length, then entrywise from the last entry back."""
+    return (len(entries), entries[::-1])
 
 
 class Comp(Frozen):
@@ -89,8 +95,7 @@ class Comp(Frozen):
         return Comp._trusted((0,) + self.entries)
 
     def sort_key(self) -> tuple:
-        e = self.entries
-        return (len(e), e[::-1])
+        return _word_order(self.entries)
 
     def __lt__(self, other: Comp) -> bool:
         return self.sort_key() < other.sort_key()
@@ -250,12 +255,11 @@ class Edge(Frozen):
         self._fill(source, target, weight, kind, index)
 
 
-def _moves(s: Comp, rule: WeightRule) -> list[tuple[Comp, int]]:
-    """Target and exponent of each outgoing edge of s, in :func:`successors`' order."""
-    e = s.entries
-    moves = [(Comp._trusted((0,) + e), 0), (s, s.degree())]
+def _moves(e: tuple[int, ...], rule: WeightRule) -> list[tuple[tuple[int, ...], int]]:
+    """Target, as entries, and exponent of each outgoing edge of e, in :func:`successors`' order."""
+    moves = [((0,) + e, 0), (e, sum(e) + len(e))]
     for i, exponent in enumerate(rule.increment_exponents(e)):
-        moves.append((Comp._trusted(e[:i] + (e[i] + 1,) + e[i + 1 :]), exponent))
+        moves.append((e[:i] + (e[i] + 1,) + e[i + 1 :], exponent))
     return moves
 
 
@@ -264,13 +268,10 @@ def successors(s: Comp, rule: WeightRule) -> list[Edge]:
 
     Order: prepend, stay, then one increment per entry position.
     """
-    (prepended, _), (_, stay), *increments = _moves(s, rule)
-    edges = [
-        Edge(s, prepended, ONE, "prepend"),
-        Edge(s, s, QPoly.monomial(stay), "stay"),
-    ]
+    (prepended, _), (_, stay), *increments = _moves(s.entries, rule)
+    edges = [Edge(s, Comp._trusted(prepended), ONE, "prepend"), Edge(s, s, QPoly.monomial(stay), "stay")]
     for i, (target, exponent) in enumerate(increments, start=1):
-        edges.append(Edge(s, target, QPoly.monomial(exponent), "increment", i))
+        edges.append(Edge(s, Comp._trusted(target), QPoly.monomial(exponent), "increment", i))
     return edges
 
 
@@ -301,8 +302,14 @@ def enumerate_vertices(n: int) -> tuple[Comp, ...]:
     return tuple(sorted(found, key=Comp.sort_key))
 
 
-def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
-    """Path sums to every endpoint of a length-n path from the empty vertex.
+def _vertex(s: Comp) -> tuple[int, ...]:
+    if not isinstance(s, Comp):
+        raise TypeError(f"a vertex must be a Comp, not {type(s).__name__}")
+    return s.entries
+
+
+def _path_sums_enum(n: int, rule: WeightRule) -> dict[tuple[int, ...], QPoly]:
+    """Path sums to every endpoint, as entries, of a length-n path from the empty vertex.
 
     One depth-first walk on an explicit stack enumerates every path, the
     independent oracle for the dynamic program.  Edge weights are powers of
@@ -310,8 +317,8 @@ def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    paths: dict[tuple[Comp, int], int] = {}
-    stack = [(EMPTY, n, 0)]
+    paths: dict[tuple[tuple[int, ...], int], int] = {}
+    stack = [((), n, 0)]
     while stack:
         vertex, remaining, e = stack.pop()
         if remaining == 0:
@@ -319,7 +326,7 @@ def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
             continue
         for target, exponent in _moves(vertex, rule):
             stack.append((target, remaining - 1, e + exponent))
-    totals: dict[Comp, QPoly] = {}
+    totals: dict[tuple[int, ...], QPoly] = {}
     for (vertex, e), count in paths.items():
         totals[vertex] = totals.get(vertex, ZERO) + QPoly.monomial(e, count)
     return totals
@@ -327,24 +334,24 @@ def _path_sums_enum(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
 
 def path_sum_enum(s: Comp, n: int, rule: WeightRule) -> QPoly:
     """Sum of path weights over all length-n paths from the empty vertex to s."""
-    return _path_sums_enum(n, rule).get(s, ZERO)
+    return _path_sums_enum(n, rule).get(_vertex(s), ZERO)
 
 
-def _steps(n: int, rule: WeightRule) -> Iterator[dict[Comp, QPoly]]:
+def _steps(n: int, rule: WeightRule) -> Iterator[dict[tuple[int, ...], QPoly]]:
     """The step tables of the forward dynamic program, t = 0..n, each built
     from the one before; a reader that keeps only the last holds two tables.
 
-    Table t maps each vertex to the total weight of length-t paths from the
-    empty vertex.  Every edge raises entry sum + length by at most one, so
-    every vertex of table t has entry sum + length <= t <= n, and no bound
-    on the vertices is needed.
+    Table t maps each vertex, as entries, to the total weight of length-t
+    paths from the empty vertex.  Every edge raises entry sum + length by
+    at most one, so every vertex of table t has entry sum + length <= t <= n,
+    and no bound on the vertices is needed.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    step: dict[Comp, QPoly] = {EMPTY: ONE}
+    step: dict[tuple[int, ...], QPoly] = {(): ONE}
     yield step
     for _ in range(n):
-        nxt: dict[Comp, QPoly] = {}
+        nxt: dict[tuple[int, ...], QPoly] = {}
         for vertex, value in step.items():
             for target, exponent in _moves(vertex, rule):
                 # every weight is q^e with coefficient 1: multiplying is a shift
@@ -353,17 +360,17 @@ def _steps(n: int, rule: WeightRule) -> Iterator[dict[Comp, QPoly]]:
         yield step
 
 
-def _last_table(n: int, rule: WeightRule) -> dict[Comp, QPoly]:
+def _last_table(n: int, rule: WeightRule) -> dict[tuple[int, ...], QPoly]:
     """Table n of the forward dynamic program: :func:`_steps`, two tables live."""
     return deque(_steps(n, rule), maxlen=1)[0]
 
 
 @cache
 def forward_tables(n: int, rule: WeightRule) -> tuple[Mapping[Comp, QPoly], ...]:
-    """Each table of :func:`_steps`, kept: the public all-steps view; the package reads none."""
-    return tuple(MappingProxyType(step) for step in _steps(n, rule))
+    """Each :func:`_steps` table kept, keyed by Comp: the public all-steps view; the package reads none."""
+    return tuple(MappingProxyType({Comp._trusted(s): v for s, v in step.items()}) for step in _steps(n, rule))
 
 
 def path_sum_dp(s: Comp, n: int, rule: WeightRule) -> QPoly:
     """Same value as :func:`path_sum_enum`, from :func:`_last_table`."""
-    return _last_table(n, rule).get(s, ZERO)
+    return _last_table(n, rule).get(_vertex(s), ZERO)

@@ -857,7 +857,7 @@ class TestArbitrationAndVerify:
 
         def wrong(n, rule):
             table = real(n, rule)
-            for s in (Comp((0, 1)), Comp((1,))):
+            for s in ((0, 1), (1,)):
                 table[s] = table.get(s, ZERO) + ONE
             return table
 
@@ -884,7 +884,7 @@ class TestArbitrationAndVerify:
         def wrong(n, rule):
             for t, table in enumerate(real(n, rule)):
                 if (t, rule) == (4, LITERAL):
-                    table = {**table, Comp((1,)): table[Comp((1,))] + ONE}
+                    table = {**table, (1,): table[(1,)] + ONE}
                 yield table
 
         monkeypatch.setattr(paths, "_steps", wrong)
@@ -909,7 +909,7 @@ class TestArbitrationAndVerify:
         def wrong(n, rule):
             for t, table in enumerate(real(n, rule)):
                 if (t, rule) == (3, selected):
-                    table = {**table, Comp((0, 0, 0)): QPoly((2,))}
+                    table = {**table, (0, 0, 0): QPoly((2,))}
                 yield table
 
         monkeypatch.setattr(paths, "_steps", wrong)

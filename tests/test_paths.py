@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qcurvature import curvature, paths
 from qcurvature.cyclo import ONE, ZERO, QPoly
 from qcurvature.paths import (
     EMPTY,
@@ -234,6 +235,39 @@ class TestPathSums:
         for rule in WeightRule:
             for s in enumerate_vertices(n):
                 assert path_sum_enum(s, n, rule).evaluate(1) == count_paths(s)
+
+    @pytest.mark.parametrize("path_sum", [path_sum_dp, path_sum_enum])
+    @pytest.mark.parametrize("vertex", [(0, 1), [0, 1]])
+    def test_rejects_a_vertex_that_is_not_a_comp(self, path_sum, vertex):
+        # the tables are keyed by entries: a bare sequence must not read as unreachable
+        with pytest.raises(TypeError, match="must be a Comp, not " + type(vertex).__name__):
+            path_sum(vertex, 3, WeightRule.LITERAL)
+
+    def test_private_routes_build_no_comp(self, monkeypatch):
+        # the step tables, the enumeration and the path model's stream carry
+        # each vertex as its entries; a Comp is built only at the public edge
+        built = []
+        real_init, real_trusted = Comp.__init__, Comp._trusted
+
+        def init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        def trusted(entries):
+            built.append(entries)
+            return real_trusted(entries)
+
+        monkeypatch.setattr(Comp, "__init__", init)
+        monkeypatch.setattr(Comp, "_trusted", staticmethod(trusted))
+        for rule in WeightRule:
+            assert len(list(paths._steps(8, rule))) == 9
+            assert paths._path_sums_enum(6, rule)
+            for _, terms in curvature._path_terms(8, "generic", paths._last_table(8, rule)):
+                list(terms)
+        assert built == []
+        # the public views still hand out Comps
+        assert all(type(e.target) is Comp for e in successors(EMPTY, WeightRule.PREFIX))
+        assert built
 
 
 @pytest.mark.parametrize(
