@@ -114,8 +114,9 @@ class CurvatureExpansion(Frozen):
 
     def as_operator(self) -> OperatorPoly:
         """The sum of c[k] * d^k over k, as one operator."""
-        # the blocks share no key (k differs), so one dict holds them all
-        return OperatorPoly._trusted({(m, k): c for k, e in self.c.items() for m, c in e._terms.items()})
+        # the blocks share no key (k differs), so one dict holds them all, in
+        # canonical order when read k descending, each block in word order
+        return OperatorPoly._trusted({(m, k): c for k in self.powers() for m, c in self.c[k]._terms.items()})
 
     def to_json_dict(self) -> dict:
         blocks = ((k, ((s.entries, coeffs_list(c)) for s, c in self.c[k].items()))
@@ -224,8 +225,10 @@ def _path_terms(
 
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
     """Blocks, words as entries, gathered into element coefficients, keys
-    ascending, vanished ones dropped."""
-    c = {k: ElementPoly({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
+    ascending, vanished ones dropped.  Every route streams its words in
+    canonical order and skips vanished coefficients, so each block is wrapped
+    as it comes."""
+    c = {k: ElementPoly._trusted({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
     return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
 
 

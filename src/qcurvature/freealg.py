@@ -24,6 +24,11 @@ block is unpacked once and its QPoly shared by every word holding it: below
 the lane bound packing is injective, and a QPoly is immutable.  They share no
 packing or decoding code with the production route.  The general
 :class:`OperatorPoly` product is kept for arbitrary operators.
+
+Every sum stores its terms in canonical order (dpow descending, then the
+word order), so listing them reads them without a sort.  The oracles gather
+their streams as they come; the general constructor, which the general
+product and the other operations build through, sorts once.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from math import factorial
 from operator import add, lshift
 
 from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly
-from .paths import EMPTY, Comp
+from .paths import EMPTY, Comp, _word_order
 
 Generator = str | int  # "d", or an integer j standing for e_j
 
@@ -62,32 +67,43 @@ class Term(Frozen):
         self._fill(coeff, mono, dpow)
 
 
-def _term_key(item: tuple[tuple[Comp, int], QPoly]) -> tuple:
-    (mono, dpow), _ = item
-    return (-dpow, mono.sort_key())
+def _word(mono: Comp) -> Comp:
+    """``mono``, checked to be a :class:`Comp`: a sum's words are Comps, so
+    any other key, such as a bare tuple, would read as a zero coefficient."""
+    if not isinstance(mono, Comp):
+        raise TypeError(f"a word must be a Comp, not {type(mono).__name__}")
+    return mono
 
 
 class _SparseSum:
-    """A finite sum of coefficient * key, zero coefficients dropped: what
-    :class:`OperatorPoly` and :class:`ElementPoly` share.  Results are built
-    as the class of ``self``, and a sum equals only a sum of its own class.
+    """A finite sum of coefficient * key: what :class:`OperatorPoly` and
+    :class:`ElementPoly` share.
+
+    Its dict holds no zero coefficient, and its keys are in canonical order,
+    the order of the class's ``_order`` hook, so reading the dict in order
+    reads the sum sorted.  The general constructor drops zeros and sorts
+    once; the operator oracles emit their terms in that order already and
+    are wrapped with :meth:`_trusted`.  Results are built as the class of
+    ``self``, and a sum adds to and equals only a sum of its own class.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        self._terms = {
-            key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()
-        }
+        kept = {key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()}
+        self._terms = {key: kept[key] for key in sorted(kept, key=self._order)}
 
     @classmethod
     def _trusted(cls, terms: dict) -> _SparseSum:
-        """Wrap a dict known to hold no zero coefficient, skipping the zero test and the copy."""
+        """Wrap a dict known to hold no zero coefficient and to be in canonical
+        order, skipping the zero test, the sort and the copy."""
         made = object.__new__(cls)
         made._terms = terms
         return made
 
     def __add__(self, other: _SparseSum) -> _SparseSum:
+        if not isinstance(other, type(self)):
+            return NotImplemented
         acc = dict(self._terms)
         for key, coeff in other._terms.items():
             acc[key] = acc.get(key, ZERO) + coeff
@@ -119,6 +135,11 @@ class OperatorPoly(_SparseSum):
 
     __slots__ = ()
 
+    @staticmethod
+    def _order(key: tuple[Comp, int]) -> tuple:
+        """Canonical order of the keys (word, dpow): dpow descending, then the word order."""
+        return (-key[1], _word_order(key[0].entries))
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -138,24 +159,23 @@ class OperatorPoly(_SparseSum):
     # -- inspection -----------------------------------------------------
 
     def terms(self) -> list[Term]:
-        """Summands in canonical order: dpow descending, then word order."""
-        return [
-            Term(coeff, mono, dpow)
-            for (mono, dpow), coeff in sorted(self._terms.items(), key=_term_key)
-        ]
+        """Summands in canonical order, dpow descending, then word order: the stored order."""
+        return [Term(coeff, mono, dpow) for (mono, dpow), coeff in self._terms.items()]
 
     def coefficient(self, mono: Comp, dpow: int) -> QPoly:
-        return self._terms.get((mono, dpow), ZERO)
+        return self._terms.get((_word(mono), dpow), ZERO)
 
     # -- algebra ----------------------------------------------------------
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
+        if not isinstance(other, OperatorPoly):
+            return NotImplemented
         acc: dict[tuple[Comp, int], QPoly] = {}
-        pushed = [other]  # pushed[k] is d^k * other, shared by every term with dpow k
+        pushed = [other._terms]  # pushed[k] is d^k * other, shared by every term with dpow k
         for (mono_a, dpow_a), coeff_a in self._terms.items():
             while len(pushed) <= dpow_a:
                 pushed.append(_d_times(pushed[-1]))
-            for (mono_b, dpow_b), coeff_b in pushed[dpow_a]._terms.items():
+            for (mono_b, dpow_b), coeff_b in pushed[dpow_a].items():
                 key = (mono_a * mono_b, dpow_b)
                 acc[key] = acc.get(key, ZERO) + coeff_a * coeff_b
         return OperatorPoly(acc)
@@ -225,14 +245,15 @@ def _word_rewrite(entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int,
     return tuple(out)
 
 
-def _d_times(op: OperatorPoly) -> OperatorPoly:
-    """Left multiplication by the single generator d."""
+def _d_times(terms: dict[tuple[Comp, int], QPoly]) -> dict[tuple[Comp, int], QPoly]:
+    """Left multiplication by the single generator d, on an operator's dict: the
+    result may hold zeros and is unsorted, as the product that reads it builds its own sum."""
     acc: dict[tuple[Comp, int], QPoly] = {}
-    for (mono, dpow), coeff in op._terms.items():
+    for (mono, dpow), coeff in terms.items():
         for word, extra, e in _word_rewrite(mono.entries):
             key = (Comp._trusted(word), dpow + extra)
             acc[key] = acc.get(key, ZERO) + coeff.shift(e)
-    return OperatorPoly(acc)
+    return acc
 
 
 def normal_order(word: Iterable[Generator]) -> OperatorPoly:
@@ -266,6 +287,10 @@ class ElementPoly(_SparseSum):
 
     __slots__ = ()
 
+    @staticmethod
+    def _order(mono: Comp) -> tuple:
+        return _word_order(mono.entries)
+
     @classmethod
     def zero(cls) -> ElementPoly:
         return cls()
@@ -275,11 +300,11 @@ class ElementPoly(_SparseSum):
         return cls({Comp(entries): ONE})
 
     def items(self) -> list[tuple[Comp, QPoly]]:
-        """Summands in canonical word order."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+        """Summands in canonical word order: the stored order."""
+        return list(self._terms.items())
 
     def coefficient(self, mono: Comp) -> QPoly:
-        return self._terms.get(mono, ZERO)
+        return self._terms.get(_word(mono), ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -1,12 +1,20 @@
 """Tests for the free operator algebra and its normal ordering."""
 
+import gc
 import sys
+import tracemalloc
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcurvature import freealg
+from qcurvature import (
+    CurvatureExpansion,
+    binomial_expansion,
+    freealg,
+    generic_expansion,
+    root_of_unity_expansion,
+)
 from qcurvature.cyclo import ONE, CycloModulus, QPoly
 from qcurvature.freealg import (
     ElementPoly,
@@ -48,6 +56,30 @@ def element(*terms):
             for entries, coeff in terms
         }
     )
+
+
+def operator_order(key):
+    """The canonical order of an operator's keys, written out: dpow descending,
+    then by length, then entrywise from the last entry back."""
+    mono, dpow = key
+    return (-dpow, len(mono.entries), mono.entries[::-1])
+
+
+def element_order(mono):
+    """The canonical order of an element's words, written out."""
+    return (len(mono.entries), mono.entries[::-1])
+
+
+def assert_canonical(poly):
+    """``poly`` stores its keys in canonical order, holds no zero, and lists them as stored."""
+    keys = list(poly._terms)
+    if isinstance(poly, OperatorPoly):
+        assert keys == sorted(keys, key=operator_order)
+        assert [(t.mono, t.dpow) for t in poly.terms()] == keys
+    else:
+        assert keys == sorted(keys, key=element_order)
+        assert [mono for mono, _ in poly.items()] == keys
+    assert not any(c.is_zero() for c in poly._terms.values())
 
 
 class TestNormalOrder:
@@ -133,10 +165,8 @@ class TestDeformedPower:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_terms_stored_in_canonical_order(self, n):
-        power = deformed_power(n)
-        assert list(power._terms) == [(t.mono, t.dpow) for t in power.terms()]
-        element = maurer_cartan_element(n)
-        assert list(element._terms) == [mono for mono, _ in element.items()]
+        assert_canonical(deformed_power(n))
+        assert_canonical(maurer_cartan_element(n))
 
     def test_invalid_power(self):
         with pytest.raises(ValueError):
@@ -398,6 +428,115 @@ class TestElementPoly:
         p = element(((0,), QPoly((1, 1))), ((1,), ONE))
         reduced = p.reduce_mod(CycloModulus.of(2))
         assert reduced == element(((1,), ONE))
+
+
+words = st.lists(st.integers(0, 3), max_size=4).map(lambda w: Comp(tuple(w)))
+coeffs = st.lists(st.integers(-2, 2), max_size=3).map(lambda c: QPoly(tuple(c)))
+element_dicts = st.dictionaries(words, coeffs, max_size=8)
+operator_dicts = st.dictionaries(st.tuples(words, st.integers(0, 3)), coeffs, max_size=8)
+
+
+def shuffled(data, terms):
+    """``terms`` with its keys in an order drawn by Hypothesis."""
+    order = data.draw(st.permutations(list(terms)))
+    return {key: terms[key] for key in order}
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_curvature_routes_stored_in_canonical_order(self, n):
+        assert_canonical(binomial_expansion(n))
+        assert_canonical(generic_expansion(n).as_operator())
+        for c in [*generic_expansion(n).c.values(), *root_of_unity_expansion(n).c.values()]:
+            assert_canonical(c)
+
+    def test_sum_of_words_out_of_order(self):
+        total = ElementPoly.from_word(1) + ElementPoly.from_word(0)
+        assert_canonical(total)
+        assert [mono for mono, _ in total.items()] == [Comp((0,)), Comp((1,))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), element_dicts, element_dicts)
+    def test_element_operations(self, data, left, right):
+        a, b = ElementPoly(shuffled(data, left)), ElementPoly(shuffled(data, right))
+        assert a._terms == {mono: c for mono, c in left.items() if not c.is_zero()}
+        modulus = CycloModulus.of(data.draw(st.integers(2, 6)))
+        for made in (a, a + b, a.scaled(q + 1), a.scaled(0), q_derivative(a), multiply_by_a(a),
+                     a.reduce_mod(modulus), a.times_d_power(data.draw(st.integers(0, 3)))):
+            assert_canonical(made)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), operator_dicts, operator_dicts)
+    def test_operator_operations(self, data, left, right):
+        a, b = OperatorPoly(shuffled(data, left)), OperatorPoly(shuffled(data, right))
+        assert a._terms == {key: c for key, c in left.items() if not c.is_zero()}
+        for made in (a, a + b, a * b, a.scaled(q2 - 1)):
+            assert_canonical(made)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.integers(2, 6), st.sampled_from([generic_expansion, root_of_unity_expansion]))
+    def test_from_json_dict(self, data, n, expand):
+        expansion = expand(n)
+        payload = expansion.to_json_dict()
+        blocks = data.draw(st.permutations(payload["c"]))
+        payload["c"] = [{"k": b["k"], "terms": data.draw(st.permutations(b["terms"]))} for b in blocks]
+        read = CurvatureExpansion.from_json_dict(payload)
+        for c in read.c.values():
+            assert_canonical(c)
+        assert_canonical(read.as_operator())
+        assert read.to_json_dict() == expansion.to_json_dict()
+
+
+def traced_peak_and_kept(read):
+    """Bytes that ``read()`` allocates at its peak, and bytes its result keeps, under tracemalloc."""
+    gc.collect()  # so no earlier garbage is freed inside the read and taken off what it keeps
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = read()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - start, kept - start
+
+
+class TestReadAllocation:
+    # a read of an n = 12 oracle builds one list of its terms and nothing transient
+    @pytest.mark.parametrize("read", ["terms", "items"])
+    def test_reading_allocates_nothing_transient(self, read):
+        poly = deformed_power(12) if read == "terms" else maurer_cartan_element(12)
+        peak, kept = traced_peak_and_kept(getattr(poly, read))
+        assert kept > 0
+        assert peak <= 1.05 * kept
+
+
+class TestOperandKinds:
+    # a sum adds to and multiplies with only a sum of its own class, as it
+    # equals only one, and reads a coefficient only at a Comp
+    def test_operator_plus_element(self):
+        with pytest.raises(TypeError):
+            OperatorPoly.d() + ElementPoly.from_word(0)
+
+    def test_element_plus_operator(self):
+        with pytest.raises(TypeError):
+            ElementPoly.from_word(0) + OperatorPoly.d()
+
+    def test_operator_plus_int(self):
+        with pytest.raises(TypeError):
+            OperatorPoly.d() + 1
+
+    def test_operator_times_int(self):
+        with pytest.raises(TypeError):
+            OperatorPoly.d() * 2
+
+    def test_coefficient_of_a_bare_tuple(self):
+        with pytest.raises(TypeError, match="must be a Comp, not tuple"):
+            maurer_cartan_element(3).coefficient((0, 1))
+        with pytest.raises(TypeError, match="must be a Comp, not tuple"):
+            OperatorPoly.d().coefficient((), 1)
+        assert maurer_cartan_element(3).coefficient(Comp((0, 1))) == QPoly((1, 1))
+        assert OperatorPoly.d().coefficient(Comp(), 1) == ONE
 
 
 class TestRendering:
