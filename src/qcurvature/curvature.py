@@ -35,7 +35,6 @@ __all__ = [
     "path_root_expansion",
     "generic_expansion",
     "root_of_unity_expansion",
-    "binomial_expansion",
     "infinitesimal_coefficients",
     "infinitesimal_from_operator",
     "infinitesimal_composition_sum",
@@ -438,21 +437,6 @@ def root_of_unity_expansion(n: int, rule: WeightRule | None = None) -> Curvature
     return _expansion(n, ROOT, rule, partial(expansion_terms, n, ROOT))
 
 
-def binomial_expansion(n: int) -> OperatorPoly:
-    """The n-th deformed power assembled from the q-binomial power formula.
-
-    d^n plus, for k = 1..n-1, the Gaussian binomial (n choose k) times the
-    (k-1)-fold deformed derivative of a times d^(n-k), plus the (n-1)-fold
-    deformed derivative of a: :func:`production_terms` in generic mode, the
-    stream the CLI writes, gathered into one operator.  It takes no rule.
-    Must agree with :func:`deformed_power`.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    terms = production_terms(n, GENERIC)
-    return OperatorPoly._trusted({(Comp._trusted(w), k): c for k, block in terms for w, c in block})
-
-
 # ---------------------------------------------------------------------------
 # infinitesimal deformations (coefficient of t with t^2 = 0)
 # ---------------------------------------------------------------------------
@@ -531,9 +515,6 @@ class CompositionSumComparison(Frozen):
     def __init__(self, n: int, convention: str, values: tuple[QPoly, ...],
                  reference: tuple[QPoly, ...], matches: tuple[bool, ...]):
         self._fill(n, convention, values, reference, matches)
-
-    def all_match(self) -> bool:
-        return all(self.matches)
 
 
 def infinitesimal_composition_sum(

@@ -13,7 +13,6 @@ __all__ = [
     "QPoly",
     "ZERO",
     "ONE",
-    "Q",
     "q_number",
     "q_factorial",
     "q_binomial",
@@ -27,6 +26,7 @@ __all__ = [
 from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate
+from math import isqrt
 from operator import add
 
 
@@ -282,7 +282,6 @@ def _coerce(value: object) -> QPoly:
 
 ZERO = QPoly()
 ONE = QPoly((1,))
-Q = QPoly((0, 1))
 
 
 def q_number(k: int) -> QPoly:
@@ -366,7 +365,9 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n in ascending order."""
-    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    if n < 1:
+        raise ValueError("n must be positive")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     large = [n // d for d in reversed(small) if d * d != n]
     return small + large
 
@@ -394,8 +395,6 @@ def cyclotomic(n: int) -> QPoly:
     >>> print(cyclotomic(4))
     1 + q^2
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     phi: dict[int, QPoly] = {}
     for m in divisors(n):
         numerator = QPoly.monomial(m) - ONE

@@ -109,11 +109,6 @@ class _SparseSum:
             acc[key] = acc.get(key, ZERO) + coeff
         return type(self)(acc)
 
-    def scaled(self, factor: QPoly | int) -> _SparseSum:
-        if isinstance(factor, int):
-            factor = QPoly((factor,))
-        return type(self)({key: c * factor for key, c in self._terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -154,7 +149,7 @@ class OperatorPoly(_SparseSum):
     def e(cls, j: int) -> OperatorPoly:
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        return cls({(Comp._trusted((j,)), 0): ONE})
+        return cls({(Comp((j,)), 0): ONE})
 
     # -- inspection -----------------------------------------------------
 
@@ -295,10 +290,6 @@ class ElementPoly(_SparseSum):
     def zero(cls) -> ElementPoly:
         return cls()
 
-    @classmethod
-    def from_word(cls, *entries: int) -> ElementPoly:
-        return cls({Comp(entries): ONE})
-
     def items(self) -> list[tuple[Comp, QPoly]]:
         """Summands in canonical word order: the stored order."""
         return list(self._terms.items())
@@ -308,15 +299,6 @@ class ElementPoly(_SparseSum):
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def times_d_power(self, dpow: int) -> OperatorPoly:
-        """The operator (this element) * d^dpow; already normally ordered."""
-        if dpow < 0:
-            raise ValueError("dpow must be nonnegative")
-        return OperatorPoly({(mono, dpow): coeff for mono, coeff in self._terms.items()})
-
-    def to_operator(self) -> OperatorPoly:
-        return self.times_d_power(0)
 
     def reduce_mod(self, modulus: CycloModulus) -> ElementPoly:
         return ElementPoly({mono: modulus.reduce(c) for mono, c in self._terms.items()})

@@ -21,7 +21,6 @@ __all__ = [
     "WeightRule",
     "successors",
     "enumerate_vertices",
-    "stay_count",
     "path_sum_enum",
     "path_sum_dp",
     "forward_tables",
@@ -273,15 +272,6 @@ def successors(s: Comp, rule: WeightRule) -> list[Edge]:
     for i, (target, exponent) in enumerate(increments, start=1):
         edges.append(Edge(s, Comp._trusted(target), QPoly.monomial(exponent), "increment", i))
     return edges
-
-
-def stay_count(s: Comp, n: int) -> int:
-    """Number of stay steps on any length-n path from the empty vertex to s.
-
-    Equals n minus the degree of s; a negative value means s is unreachable
-    in n steps (callers filter on this).
-    """
-    return n - s.degree()
 
 
 @cache

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 from qcurvature.curvature import (
     CurvatureExpansion,
-    binomial_expansion,
+    generic_expansion,
     infinitesimal_coefficients,
     infinitesimal_from_operator,
     path_expansion,
@@ -120,7 +120,7 @@ def test_criterion_04_binomial_vanishing_and_exact_division():
 def test_criterion_05_power_formula():
     with criterion(5, "q-binomial power formula n=2..5", 30.0):
         for n in range(2, 6):
-            assert binomial_expansion(n) == deformed_power(n), n
+            assert generic_expansion(n).as_operator() == deformed_power(n), n
 
 
 def test_criterion_06_infinitesimal_coefficients():

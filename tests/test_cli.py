@@ -20,7 +20,7 @@ from qcurvature.curvature import (
 )
 from qcurvature.cyclo import CycloModulus, q_number
 from qcurvature.freealg import ElementPoly
-from qcurvature.paths import WeightRule, forward_tables, stay_count
+from qcurvature.paths import WeightRule, forward_tables
 
 
 def invoke(capsys, *argv):
@@ -116,7 +116,7 @@ def path_model(n, mode, rule):
     coefficients are dropped."""
     by_power = {}
     for s, weight in forward_tables(n, rule)[n].items():
-        by_power.setdefault(stay_count(s, n), {})[s] = weight
+        by_power.setdefault(n - s.degree(), {})[s] = weight
     if mode == "root":
         reduce = CycloModulus.of(n).reduce
         by_power = {k: {s: reduce(w) for s, w in terms.items()}

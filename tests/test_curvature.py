@@ -13,7 +13,6 @@ import qcurvature.paths as paths
 from qcurvature.curvature import (
     COMPOSITION_SUM_READINGS,
     CurvatureExpansion,
-    binomial_expansion,
     four_step_listing_mismatches,
     generic_expansion,
     infinitesimal_coefficients,
@@ -33,7 +32,7 @@ from qcurvature.freealg import (
     deformed_power,
     maurer_cartan_element,
 )
-from qcurvature.paths import LATEX, TEXT, Comp, Entries, WeightRule, forward_tables, stay_count
+from qcurvature.paths import LATEX, TEXT, Comp, Entries, WeightRule, forward_tables
 
 PREFIX = WeightRule.PREFIX
 LITERAL = WeightRule.LITERAL
@@ -285,7 +284,7 @@ class TestClosedFormWalk:
 
 class TestBinomialExpansion:
     def test_n2_structure(self):
-        assert binomial_expansion(2) == OperatorPoly(
+        assert generic_expansion(2).as_operator() == OperatorPoly(
             {
                 (Comp(()), 2): ONE,
                 (Comp((0,)), 1): QPoly((1, 1)),
@@ -296,7 +295,7 @@ class TestBinomialExpansion:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_operator_oracle(self, n):
-        assert binomial_expansion(n) == deformed_power(n)
+        assert generic_expansion(n).as_operator() == deformed_power(n)
 
 
 class TestInfinitesimal:
@@ -382,15 +381,15 @@ class TestCompositionSumReadings:
         assert cmp.reference[0] == QPoly((1, 1, 1))
         assert cmp.values[0] == QPoly((0, 0, 1))
         assert not cmp.matches[0]
-        assert not cmp.all_match()
+        assert not all(cmp.matches)
 
     def test_block_reading_misses(self):
         cmp = infinitesimal_composition_sum(3, "block", PREFIX)
-        assert not cmp.all_match()
+        assert not all(cmp.matches)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_stay_reading_reproduces_path_model(self, n):
-        assert infinitesimal_composition_sum(n, "stay", PREFIX).all_match()
+        assert all(infinitesimal_composition_sum(n, "stay", PREFIX).matches)
 
     def test_match_report_is_per_entry(self):
         cmp = infinitesimal_composition_sum(4, "occupancy", PREFIX)
@@ -522,7 +521,7 @@ class TestWordType:
     def test_dp_vertex_keys_the_expansion(self):
         expansion = path_expansion(5, PREFIX)
         for s, weight in forward_tables(5, PREFIX)[5].items():
-            assert expansion.coefficient(stay_count(s, 5)).coefficient(s) == weight
+            assert expansion.coefficient(5 - s.degree()).coefficient(s) == weight
 
 
 class TestArbitrationAndVerify:
@@ -975,7 +974,6 @@ class TestArbitrationAndVerify:
         pytest.param(
             lambda: path_root_expansion(1), "root-of-unity mode needs n >= 2", id="path_root_expansion(1)"
         ),
-        pytest.param(lambda: binomial_expansion(1), "n must be at least 2", id="binomial_expansion(1)"),
         pytest.param(
             lambda: infinitesimal_coefficients(1), "n must be at least 2", id="infinitesimal_coefficients(1)"
         ),

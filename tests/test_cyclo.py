@@ -305,6 +305,9 @@ class TestReduce:
         # unguarded, q_binomial(-1, 0) is 0 and cyclotomic(0) a KeyError
         pytest.param(lambda: q_binomial(-1, 0), "n must be nonnegative", id="q_binomial(-1, 0)"),
         pytest.param(lambda: cyclotomic(0), "n must be positive", id="cyclotomic(0)"),
+        # unguarded, divisors(0) is [] and divisors(-4) a TypeError from a complex square root
+        pytest.param(lambda: divisors(0), "n must be positive", id="divisors(0)"),
+        pytest.param(lambda: divisors(-4), "n must be positive", id="divisors(-4)"),
         pytest.param(
             lambda: divmod(QPoly((0, 1)), QPoly((0, 2))), "1 is not divisible by 2", id="divmod(q, 2q)"
         ),

@@ -13,7 +13,6 @@ from qcurvature.paths import (
     forward_tables,
     path_sum_dp,
     path_sum_enum,
-    stay_count,
     successors,
 )
 
@@ -158,14 +157,6 @@ class TestEnumerateVertices:
         assert len(set(vertices)) == len(vertices)
         # 2^(m-1) vertices with entry sum + length == m, plus the empty one
         assert len(vertices) == 2**n
-
-
-class TestStayCount:
-    def test_examples(self):
-        assert stay_count(Comp((0, 1)), 3) == 0
-        assert stay_count(EMPTY, 5) == 5
-        assert stay_count(Comp((2,)), 3) == 0
-        assert stay_count(Comp((1, 1, 1)), 3) == -3  # unreachable
 
 
 class TestPathSums:
