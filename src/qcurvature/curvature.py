@@ -53,10 +53,10 @@ from .cyclo import (
     CycloModulus,
     Frozen,
     QPoly,
+    _folded_remainder,
     coeffs_list,
     poly_from_coeffs,
     q_binomial,
-    remainder_of_folded,
     totient,
 )
 from .freealg import (
@@ -113,12 +113,11 @@ class CurvatureExpansion(Frozen):
 
     def as_operator(self) -> OperatorPoly:
         """The sum of c[k] * d^k over k, as one operator."""
-        # the blocks share no key (k differs), so one dict holds them all, in
-        # canonical order when read k descending, each block in word order
-        return OperatorPoly._trusted({(m, k): c for k in self.powers() for m, c in self.c[k]._terms.items()})
+        # each c[k] is already a block of the operator's stored shape, in word order
+        return OperatorPoly._trusted({k: self.c[k]._terms for k in self.powers() if self.c[k]._terms})
 
     def to_json_dict(self) -> dict:
-        blocks = ((k, ((s.entries, coeffs_list(c)) for s, c in self.c[k].items()))
+        blocks = ((k, ((s, coeffs_list(c)) for s, c in self.c[k]._terms.items()))
                   for k in self.powers())
         return expansion_json(self.n, self.mode, self.rule, blocks)
 
@@ -225,9 +224,9 @@ def _path_terms(
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
     """Blocks, words as entries, gathered into element coefficients, keys
     ascending, vanished ones dropped.  Every route streams its words in
-    canonical order and skips vanished coefficients, so each block is wrapped
-    as it comes."""
-    c = {k: ElementPoly._trusted({Comp._trusted(s): value for s, value in terms}) for k, terms in blocks}
+    canonical order and skips vanished coefficients, so each block, words
+    still entries, is gathered with one ``dict`` as it comes."""
+    c = {k: ElementPoly._trusted(dict(terms)) for k, terms in blocks}
     return {k: c[k] for k in sorted(c) if not c[k].is_zero()}
 
 
@@ -387,7 +386,7 @@ def production_terms(
         # and the loop ends at the fold itself, below ring: at most n lanes.
         width = bits * n
         ring = (1 << width) - 1
-        modulus = CycloModulus.of(n)
+        remainder = _folded_remainder(CycloModulus.of(n))
 
         def fold(x: int) -> int:
             while x > ring:
@@ -395,7 +394,7 @@ def production_terms(
             return x
 
         def reduce_folded(x: int) -> QPoly:
-            return remainder_of_folded(_unpack(x, bits), modulus)
+            return remainder(_unpack(x, bits))
 
         for k in range(n - 1, 0, -1):
             yield k, iter(())

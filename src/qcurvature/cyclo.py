@@ -23,7 +23,7 @@ __all__ = [
     "poly_from_coeffs",
 ]
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import accumulate
 from math import isqrt
@@ -89,7 +89,7 @@ class QPoly(Frozen):
         tuple of ``int`` with no trailing zero.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
+        _set_coeffs(p, coeffs)
         return p
 
     def __eq__(self, other: object) -> bool:
@@ -280,6 +280,7 @@ def _coerce(value: object) -> QPoly:
     return NotImplemented
 
 
+_set_coeffs = QPoly.coeffs.__set__  # sets the slot past Frozen.__setattr__
 ZERO = QPoly()
 ONE = QPoly((1,))
 
@@ -444,18 +445,28 @@ def remainder_of_folded(values: list[int], m: CycloModulus) -> QPoly:
     result keeps integer coefficients and has degree < deg(phi).  ``values``
     is overwritten.
     """
+    return _folded_remainder(m)(values)
+
+
+def _folded_remainder(m: CycloModulus) -> Callable[[list[int]], QPoly]:
+    """:func:`remainder_of_folded` modulo ``m``, as a function of the values alone:
+    phi's nonzero lower terms are listed once, for every call of the function."""
     d = m.phi.degree
     low = [(j, c) for j, c in enumerate(m.phi.coeffs[:d]) if c]
-    for top in range(len(values) - 1, d - 1, -1):
-        head = values[top]
-        if head:
-            base = top - d
-            for j, c in low:
-                values[base + j] -= head * c
-    del values[d:]
-    while values and not values[-1]:
-        values.pop()
-    return QPoly._trusted(tuple(values))
+
+    def remainder(values: list[int]) -> QPoly:
+        for top in range(len(values) - 1, d - 1, -1):
+            head = values[top]
+            if head:
+                base = top - d
+                for j, c in low:
+                    values[base + j] -= head * c
+        del values[d:]
+        while values and not values[-1]:
+            values.pop()
+        return QPoly._trusted(tuple(values))
+
+    return remainder
 
 
 def coeffs_list(p: QPoly) -> list[int]:

@@ -25,10 +25,15 @@ the lane bound packing is injective, and a QPoly is immutable.  They share no
 packing or decoding code with the production route.  The general
 :class:`OperatorPoly` product is kept for arbitrary operators.
 
-Every sum stores its terms in canonical order (dpow descending, then the
-word order), so listing them reads them without a sort.  The oracles gather
-their streams as they come; the general constructor, which the general
-product and the other operations build through, sorts once.
+Every sum stores its terms in the stream's own shape, words as entries
+tuples: an :class:`ElementPoly` is one block, a dict from word to
+coefficient in canonical word order, and an :class:`OperatorPoly` is a dict
+of such blocks by power of d, dpow descending.  The oracles gather each
+streamed block with one ``dict``; the general constructor, which the general
+product and the other operations build through, sorts once.  A
+:class:`Comp` is made only at the public edge: ``terms()`` and ``items()``
+hand words out as Comps, and the constructors and ``coefficient()`` take
+them and check them.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from math import factorial
 from operator import add, lshift
 
 from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly
-from .paths import EMPTY, Comp, _word_order
+from .paths import LATEX, TEXT, Comp, _word_order
 
 Generator = str | int  # "d", or an integer j standing for e_j
 
@@ -67,47 +72,82 @@ class Term(Frozen):
         self._fill(coeff, mono, dpow)
 
 
-def _word(mono: Comp) -> Comp:
-    """``mono``, checked to be a :class:`Comp`: a sum's words are Comps, so
-    any other key, such as a bare tuple, would read as a zero coefficient."""
+_set_coeff, _set_mono, _set_dpow = (getattr(Term, name).__set__ for name in Term.__slots__)
+
+
+def _term(coeff: QPoly, mono: Comp, dpow: int) -> Term:
+    """``Term(coeff, mono, dpow)``, each slot set through its descriptor."""
+    made = object.__new__(Term)
+    _set_coeff(made, coeff)
+    _set_mono(made, mono)
+    _set_dpow(made, dpow)
+    return made
+
+
+def _word(mono: Comp) -> tuple[int, ...]:
+    """The entries of ``mono``, checked to be a :class:`Comp`, the one public word
+    type: a bare tuple or list has not passed the checks a Comp's constructor makes."""
     if not isinstance(mono, Comp):
         raise TypeError(f"a word must be a Comp, not {type(mono).__name__}")
-    return mono
+    return mono.entries
+
+
+def _power(dpow: int) -> int:
+    """``dpow``, checked to be a power of d: an int (not a bool), nonnegative."""
+    if type(dpow) is not int:
+        raise TypeError(f"a power of d must be an int, not {type(dpow).__name__}")
+    if dpow < 0:
+        raise ValueError("a power of d must be nonnegative")
+    return dpow
+
+
+def _coefficient(coeff: QPoly) -> QPoly:
+    """``coeff``, checked to be a :class:`QPoly`."""
+    if not isinstance(coeff, QPoly):
+        raise TypeError(f"a coefficient must be a QPoly, not {type(coeff).__name__}")
+    return coeff
+
+
+def _added(acc: dict, terms: Iterable[tuple]) -> dict:
+    """``acc`` with each (key, coefficient) of ``terms`` added in."""
+    for key, coeff in terms:
+        acc[key] = acc.get(key, ZERO) + coeff
+    return acc
+
+
+def _canonical(block: dict[tuple[int, ...], QPoly]) -> dict[tuple[int, ...], QPoly]:
+    """A block of words as entries: its zero coefficients dropped, its words in canonical order."""
+    kept = [word for word, coeff in block.items() if coeff.coeffs]
+    return {word: block[word] for word in sorted(kept, key=_word_order)}
+
+
+def _by_power(blocks: dict[int, dict]) -> dict[int, dict]:
+    """Blocks by power of d, each made canonical, dpow descending, empty ones dropped."""
+    return {dpow: block for dpow in sorted(blocks, reverse=True) if (block := _canonical(blocks[dpow]))}
 
 
 class _SparseSum:
-    """A finite sum of coefficient * key: what :class:`OperatorPoly` and
+    """A finite sum of coefficient * word: what :class:`OperatorPoly` and
     :class:`ElementPoly` share.
 
-    Its dict holds no zero coefficient, and its keys are in canonical order,
-    the order of the class's ``_order`` hook, so reading the dict in order
-    reads the sum sorted.  The general constructor drops zeros and sorts
-    once; the operator oracles emit their terms in that order already and
-    are wrapped with :meth:`_trusted`.  Results are built as the class of
-    ``self``, and a sum adds to and equals only a sum of its own class.
+    Words are stored as entries tuples, in blocks: dicts that hold no zero
+    coefficient and keep their words in canonical order, so reading a block
+    in order reads it sorted.  An element is one block; an operator keeps one
+    per power of d, dpow descending.  The public constructors take Comps and
+    check every word, power of d and coefficient; the operations build their
+    results through :meth:`_trusted`, as do the operator oracles, whose
+    streams come in this shape.  A sum adds to and equals only a sum of its
+    own class.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict | None = None):
-        kept = {key: coeff for key, coeff in (terms or {}).items() if not coeff.is_zero()}
-        self._terms = {key: kept[key] for key in sorted(kept, key=self._order)}
-
     @classmethod
     def _trusted(cls, terms: dict) -> _SparseSum:
-        """Wrap a dict known to hold no zero coefficient and to be in canonical
-        order, skipping the zero test, the sort and the copy."""
+        """Wrap a dict already in the class's stored shape, skipping the checks, the sort and the copy."""
         made = object.__new__(cls)
         made._terms = terms
         return made
-
-    def __add__(self, other: _SparseSum) -> _SparseSum:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, ZERO) + coeff
-        return type(self)(acc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -123,57 +163,73 @@ class _SparseSum:
 class OperatorPoly(_SparseSum):
     """Finite sum of coefficient * word * d^k in normal form.
 
-    Zero coefficients are never stored; multiplication triggers normal
-    ordering via the Leibniz rewrite.  Instances are immutable by
-    convention: no method mutates, all return fresh objects.
+    Built from a dict mapping (word, k) to a coefficient: a :class:`Comp`,
+    a nonnegative int and a :class:`QPoly`.  Zero coefficients are never
+    stored; multiplication triggers normal ordering via the Leibniz rewrite.
+    Instances are immutable by convention: no method mutates, all return
+    fresh objects.
     """
 
     __slots__ = ()
 
-    @staticmethod
-    def _order(key: tuple[Comp, int]) -> tuple:
-        """Canonical order of the keys (word, dpow): dpow descending, then the word order."""
-        return (-key[1], _word_order(key[0].entries))
+    def __init__(self, terms: dict[tuple[Comp, int], QPoly] | None = None):
+        blocks: dict[int, dict] = {}
+        for (mono, dpow), coeff in (terms or {}).items():
+            blocks.setdefault(_power(dpow), {})[_word(mono)] = _coefficient(coeff)
+        self._terms = _by_power(blocks)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def one(cls) -> OperatorPoly:
-        return cls({(EMPTY, 0): ONE})
+        return cls._trusted({0: {(): ONE}})
 
     @classmethod
     def d(cls) -> OperatorPoly:
-        return cls({(EMPTY, 1): ONE})
+        return cls._trusted({1: {(): ONE}})
 
     @classmethod
     def e(cls, j: int) -> OperatorPoly:
         if j < 0:
             raise ValueError("derivative order must be nonnegative")
-        return cls({(Comp((j,)), 0): ONE})
+        return cls._trusted({0: {Comp((j,)).entries: ONE}})
 
     # -- inspection -----------------------------------------------------
 
     def terms(self) -> list[Term]:
         """Summands in canonical order, dpow descending, then word order: the stored order."""
-        return [Term(coeff, mono, dpow) for (mono, dpow), coeff in self._terms.items()]
+        comp = Comp._trusted
+        blocks = self._terms.items()
+        return [_term(coeff, comp(word), dpow) for dpow, block in blocks for word, coeff in block.items()]
 
     def coefficient(self, mono: Comp, dpow: int) -> QPoly:
-        return self._terms.get((_word(mono), dpow), ZERO)
+        return self._terms.get(_power(dpow), {}).get(_word(mono), ZERO)
 
     # -- algebra ----------------------------------------------------------
+
+    def __add__(self, other: OperatorPoly) -> OperatorPoly:
+        if not isinstance(other, OperatorPoly):
+            return NotImplemented
+        acc = {dpow: dict(block) for dpow, block in self._terms.items()}
+        for dpow, block in other._terms.items():
+            _added(acc.setdefault(dpow, {}), block.items())
+        return OperatorPoly._trusted(_by_power(acc))
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        acc: dict[tuple[Comp, int], QPoly] = {}
+        acc: dict[int, dict] = {}
         pushed = [other._terms]  # pushed[k] is d^k * other, shared by every term with dpow k
-        for (mono_a, dpow_a), coeff_a in self._terms.items():
+        for dpow_a, block_a in self._terms.items():
             while len(pushed) <= dpow_a:
                 pushed.append(_d_times(pushed[-1]))
-            for (mono_b, dpow_b), coeff_b in pushed[dpow_a].items():
-                key = (mono_a * mono_b, dpow_b)
-                acc[key] = acc.get(key, ZERO) + coeff_a * coeff_b
-        return OperatorPoly(acc)
+            for dpow_b, block_b in pushed[dpow_a].items():
+                target = acc.setdefault(dpow_b, {})
+                for word_a, coeff_a in block_a.items():
+                    for word_b, coeff_b in block_b.items():
+                        word = word_a + word_b
+                        target[word] = target.get(word, ZERO) + coeff_a * coeff_b
+        return OperatorPoly._trusted(_by_power(acc))
 
     def __pow__(self, n: int) -> OperatorPoly:
         if n < 0:
@@ -186,7 +242,11 @@ class OperatorPoly(_SparseSum):
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = ((_operator_word(t.mono, t.dpow), t.coeff.compact()) for t in self.terms())
+        terms = (
+            (_operator_word(word, dpow), coeff.compact())
+            for dpow, block in self._terms.items()
+            for word, coeff in block.items()
+        )
         return "".join(_sum_pieces(terms, "*"))
 
 
@@ -211,9 +271,9 @@ def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
         yield "0"
 
 
-def _operator_word(mono: Comp, dpow: int) -> str:
-    """The word times d^dpow in text; "1" when both are empty."""
-    factors = [mono.text()] if len(mono) else []
+def _operator_word(word: tuple[int, ...], dpow: int) -> str:
+    """The word, given by its entries, times d^dpow in text; "1" when both are empty."""
+    factors = [TEXT.render(word)] if word else []
     if dpow:
         factors.append("d" if dpow == 1 else f"d^{dpow}")
     return "*".join(factors) or "1"
@@ -240,14 +300,15 @@ def _word_rewrite(entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int,
     return tuple(out)
 
 
-def _d_times(terms: dict[tuple[Comp, int], QPoly]) -> dict[tuple[Comp, int], QPoly]:
-    """Left multiplication by the single generator d, on an operator's dict: the
+def _d_times(blocks: dict[int, dict]) -> dict[int, dict]:
+    """Left multiplication by the single generator d, on an operator's blocks: the
     result may hold zeros and is unsorted, as the product that reads it builds its own sum."""
-    acc: dict[tuple[Comp, int], QPoly] = {}
-    for (mono, dpow), coeff in terms.items():
-        for word, extra, e in _word_rewrite(mono.entries):
-            key = (Comp._trusted(word), dpow + extra)
-            acc[key] = acc.get(key, ZERO) + coeff.shift(e)
+    acc: dict[int, dict] = {}
+    for dpow, block in blocks.items():
+        for word, coeff in block.items():
+            for rewritten, extra, e in _word_rewrite(word):
+                target = acc.setdefault(dpow + extra, {})
+                target[rewritten] = target.get(rewritten, ZERO) + coeff.shift(e)
     return acc
 
 
@@ -275,16 +336,16 @@ def normal_order(word: Iterable[Generator]) -> OperatorPoly:
 class ElementPoly(_SparseSum):
     """A formal element of the module: a finite sum of coefficient * word.
 
-    Holds a map from word to coefficient with zero coefficients dropped.
-    There is no power of d in the key, so an element cannot carry d.
-    Instances are immutable by convention, as :class:`OperatorPoly`.
+    Built from a dict mapping a :class:`Comp` to a :class:`QPoly`, zero
+    coefficients dropped.  There is no power of d in the key, so an element
+    cannot carry d.  Instances are immutable by convention, as
+    :class:`OperatorPoly`.
     """
 
     __slots__ = ()
 
-    @staticmethod
-    def _order(mono: Comp) -> tuple:
-        return _word_order(mono.entries)
+    def __init__(self, terms: dict[Comp, QPoly] | None = None):
+        self._terms = _canonical({_word(mono): _coefficient(coeff) for mono, coeff in (terms or {}).items()})
 
     @classmethod
     def zero(cls) -> ElementPoly:
@@ -292,7 +353,8 @@ class ElementPoly(_SparseSum):
 
     def items(self) -> list[tuple[Comp, QPoly]]:
         """Summands in canonical word order: the stored order."""
-        return list(self._terms.items())
+        comp = Comp._trusted
+        return [(comp(word), coeff) for word, coeff in self._terms.items()]
 
     def coefficient(self, mono: Comp) -> QPoly:
         return self._terms.get(_word(mono), ZERO)
@@ -300,11 +362,19 @@ class ElementPoly(_SparseSum):
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __add__(self, other: ElementPoly) -> ElementPoly:
+        if not isinstance(other, ElementPoly):
+            return NotImplemented
+        return ElementPoly._trusted(_canonical(_added(dict(self._terms), other._terms.items())))
+
     def reduce_mod(self, modulus: CycloModulus) -> ElementPoly:
-        return ElementPoly({mono: modulus.reduce(c) for mono, c in self._terms.items()})
+        # reducing keeps the word order; only a vanished coefficient drops out
+        reduced = ((word, modulus.reduce(coeff)) for word, coeff in self._terms.items())
+        return ElementPoly._trusted({word: coeff for word, coeff in reduced if coeff.coeffs})
 
     def __str__(self) -> str:
-        return "".join(_sum_pieces(((m.text(), c.compact()) for m, c in self.items()), "*"))
+        terms = ((TEXT.render(word), coeff.compact()) for word, coeff in self._terms.items())
+        return "".join(_sum_pieces(terms, "*"))
 
     def latex(self) -> str:
         """The element in LaTeX, summands in canonical word order.
@@ -312,7 +382,8 @@ class ElementPoly(_SparseSum):
         >>> ElementPoly({Comp((1,)): QPoly((1, 1)), Comp((0, 0)): ONE}).latex()
         '(1+q)d_M(a) + a^{2}'
         """
-        return "".join(_sum_pieces(((m.latex(), c.latex()) for m, c in self.items()), ""))
+        terms = ((LATEX.render(word), coeff.latex()) for word, coeff in self._terms.items())
+        return "".join(_sum_pieces(terms, ""))
 
 
 def q_derivative(p: ElementPoly) -> ElementPoly:
@@ -321,20 +392,19 @@ def q_derivative(p: ElementPoly) -> ElementPoly:
     Each word picks up one term per factor: the factor's order is raised
     and the term is weighted by q to the degree of everything to its left.
     """
-    acc: dict[Comp, QPoly] = {}
-    for mono, coeff in p._terms.items():
-        entries = mono.entries
+    acc: dict[tuple[int, ...], QPoly] = {}
+    for entries, coeff in p._terms.items():
         left_degree = 0
         for i, entry in enumerate(entries):
-            raised = Comp._trusted(entries[:i] + (entry + 1,) + entries[i + 1 :])
+            raised = entries[:i] + (entry + 1,) + entries[i + 1 :]
             acc[raised] = acc.get(raised, ZERO) + coeff.shift(left_degree)
             left_degree += entry + 1
-    return ElementPoly(acc)
+    return ElementPoly._trusted(_canonical(acc))
 
 
 def multiply_by_a(p: ElementPoly) -> ElementPoly:
     """Left multiplication by the deforming element: prepend a to each word."""
-    return ElementPoly({mono.prepended(): coeff for mono, coeff in p._terms.items()})
+    return ElementPoly._trusted(_canonical({(0,) + entries: coeff for entries, coeff in p._terms.items()}))
 
 
 @cache
@@ -374,8 +444,8 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 #   d passing the whole word    j -> j in block D, weight q^D
 # Each move sends evenly spaced offsets to evenly spaced offsets, so a step
 # is a few list-slice additions whose per-element work runs in C.  Each
-# word is decoded to a Comp once, at the end, from a table of the words of
-# each degree built from the previous degree's, in canonical order.  Each
+# word is decoded to its entries once, at the end, from a table of the words
+# of each degree built from the previous degree's, in canonical order.  Each
 # distinct packed int of a block is unpacked once, and its QPoly is shared by
 # every word of the block that holds it: below the lane bound (next paragraph)
 # packing is injective, so equal ints are equal polynomials, and a QPoly is
@@ -533,7 +603,7 @@ def deformed_power(n: int) -> OperatorPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return OperatorPoly._trusted({(Comp._trusted(w), k): c for k, b in _operator_terms(n) for w, c in b})
+    return OperatorPoly._trusted({k: dict(terms) for k, terms in _operator_terms(n)})
 
 
 def _operator_terms(n: int) -> Iterator[tuple[int, Iterator]]:
@@ -579,7 +649,8 @@ def maurer_cartan_element(n: int) -> ElementPoly:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return ElementPoly._trusted({Comp._trusted(w): c for _, b in _maurer_cartan_terms(n) for w, c in b})
+    [(_, terms)] = _maurer_cartan_terms(n)
+    return ElementPoly._trusted(dict(terms))
 
 
 def _maurer_cartan_terms(n: int) -> Iterator[tuple[int, Iterator]]:

@@ -64,7 +64,7 @@ class Comp(Frozen):
     def _trusted(cls, entries: tuple[int, ...]) -> Comp:
         """Wrap a tuple already known to hold nonnegative ints, skipping validation."""
         c = object.__new__(cls)
-        object.__setattr__(c, "entries", entries)
+        _set_entries(c, entries)
         return c
 
     def __eq__(self, other: object) -> bool:
@@ -136,6 +136,7 @@ class Comp(Frozen):
         return f"Comp({self.entries!r})"
 
 
+_set_entries = Comp.entries.__set__  # sets the slot past Frozen.__setattr__
 EMPTY = Comp(())
 
 

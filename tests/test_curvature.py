@@ -281,6 +281,21 @@ class TestClosedFormWalk:
             list(terms)
         assert [size for size, _ in calls] == [n + 1]
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_one_remainder_per_root_call(self, n, monkeypatch):
+        # phi's lower terms are listed once per call, not once per distinct coefficient
+        made = []
+        real = curvature._folded_remainder
+
+        def recorded(modulus):
+            made.append(modulus.n)
+            return real(modulus)
+
+        monkeypatch.setattr(curvature, "_folded_remainder", recorded)
+        for _, terms in curvature.production_terms(n, "root"):
+            list(terms)
+        assert made == [n]
+
 
 class TestBinomialExpansion:
     def test_n2_structure(self):

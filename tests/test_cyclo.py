@@ -291,6 +291,14 @@ class TestReduce:
         expected = divmod(QPoly(tuple(values)), m.phi)[1]
         assert remainder_of_folded(list(values), m) == expected
 
+    @given(st.data(), st.integers(2, 39))
+    def test_one_folded_remainder_serves_every_call(self, data, n):
+        # the production route lists phi's lower terms once, then divides many folded values
+        m = CycloModulus.of(n)
+        remainder = cyclo._folded_remainder(m)
+        for values in data.draw(st.lists(st.lists(st.integers(-99, 99), max_size=n), max_size=4)):
+            assert remainder(list(values)) == divmod(QPoly(tuple(values)), m.phi)[1]
+
     @given(qpolys, st.integers(2, 12))
     def test_reduce_is_idempotent(self, p, n):
         m = CycloModulus.of(n)

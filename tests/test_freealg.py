@@ -24,6 +24,7 @@ from qcurvature.freealg import (
     _unpack_lanes,
     _word_rewrite,
     OperatorPoly,
+    Term,
     deformed_power,
     deformed_power_first_order,
     maurer_cartan_element,
@@ -58,27 +59,32 @@ def element(*terms):
 
 
 def operator_order(key):
-    """The canonical order of an operator's keys, written out: dpow descending,
-    then by length, then entrywise from the last entry back."""
-    mono, dpow = key
-    return (-dpow, len(mono.entries), mono.entries[::-1])
+    """The canonical order of an operator's stored keys, written out: dpow
+    descending, then by length, then entrywise from the last entry back."""
+    word, dpow = key
+    return (-dpow, len(word), word[::-1])
 
 
-def element_order(mono):
-    """The canonical order of an element's words, written out."""
-    return (len(mono.entries), mono.entries[::-1])
+def element_order(word):
+    """The canonical order of an element's stored words, written out."""
+    return (len(word), word[::-1])
 
 
 def assert_canonical(poly):
-    """``poly`` stores its keys in canonical order, holds no zero, and lists them as stored."""
-    keys = list(poly._terms)
+    """``poly`` stores its words as entries tuples in canonical order (an operator
+    by blocks of dpow descending, no block empty), holds no zero, and lists them as stored."""
     if isinstance(poly, OperatorPoly):
+        assert list(poly._terms) == sorted(poly._terms, reverse=True)
+        assert all(poly._terms.values())
+        keys = [(word, dpow) for dpow, block in poly._terms.items() for word in block]
+        coeffs = [c for block in poly._terms.values() for c in block.values()]
         assert keys == sorted(keys, key=operator_order)
-        assert [(t.mono, t.dpow) for t in poly.terms()] == keys
+        assert [(t.mono.entries, t.dpow) for t in poly.terms()] == keys
     else:
+        keys, coeffs = list(poly._terms), list(poly._terms.values())
         assert keys == sorted(keys, key=element_order)
-        assert [mono for mono, _ in poly.items()] == keys
-    assert not any(c.is_zero() for c in poly._terms.values())
+        assert [mono.entries for mono, _ in poly.items()] == keys
+    assert not any(c.is_zero() for c in coeffs)
 
 
 class TestNormalOrder:
@@ -448,7 +454,7 @@ class TestCanonicalOrder:
     @given(st.data(), element_dicts, element_dicts)
     def test_element_operations(self, data, left, right):
         a, b = ElementPoly(shuffled(data, left)), ElementPoly(shuffled(data, right))
-        assert a._terms == {mono: c for mono, c in left.items() if not c.is_zero()}
+        assert a._terms == {mono.entries: c for mono, c in left.items() if not c.is_zero()}
         modulus = CycloModulus.of(data.draw(st.integers(2, 6)))
         for made in (a, a + b, q_derivative(a), multiply_by_a(a), a.reduce_mod(modulus)):
             assert_canonical(made)
@@ -457,7 +463,11 @@ class TestCanonicalOrder:
     @given(st.data(), operator_dicts, operator_dicts)
     def test_operator_operations(self, data, left, right):
         a, b = OperatorPoly(shuffled(data, left)), OperatorPoly(shuffled(data, right))
-        assert a._terms == {key: c for key, c in left.items() if not c.is_zero()}
+        blocks = {}
+        for (mono, dpow), c in left.items():
+            if not c.is_zero():
+                blocks.setdefault(dpow, {})[mono.entries] = c
+        assert a._terms == blocks
         for made in (a, a + b, a * b):
             assert_canonical(made)
 
@@ -497,6 +507,34 @@ class TestReadAllocation:
         peak, kept = traced_peak_and_kept(getattr(poly, read))
         assert kept > 0
         assert peak <= 1.05 * kept
+
+
+class TestStorage:
+    # the gathered sums keep words as entries tuples, in blocks by power of d;
+    # Comps are made and taken only at the public edge
+    @staticmethod
+    def assert_entries(block):
+        for word in block:
+            assert type(word) is tuple and all(type(x) is int for x in word), word
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_gathered_sums_hold_entries_and_hand_out_comps(self, n):
+        power, element, expansion = deformed_power(n), maurer_cartan_element(n), generic_expansion(n)
+        for operator in (power, expansion.as_operator()):
+            assert all(type(dpow) is int for dpow in operator._terms)
+            for block in operator._terms.values():
+                self.assert_entries(block)
+            for term in operator.terms():
+                mono = Comp(term.mono.entries)  # the checking constructor
+                assert type(term.mono) is Comp and term.mono == mono and hash(term.mono) == hash(mono)
+                assert term == Term(term.coeff, mono, term.dpow)
+                assert operator.coefficient(mono, term.dpow) is term.coeff
+        for sum_ in (element, *expansion.c.values()):
+            self.assert_entries(sum_._terms)
+            for word, coeff in sum_.items():
+                mono = Comp(word.entries)
+                assert type(word) is Comp and word == mono and hash(word) == hash(mono)
+                assert sum_.coefficient(mono) is coeff
 
 
 class TestOperandKinds:
@@ -569,6 +607,40 @@ class TestRendering:
         ),
         pytest.param(
             lambda: maurer_cartan_element(0), ValueError, "n must be positive", id="maurer_cartan_element(0)"
+        ),
+        # the public constructors check each word, power of d and coefficient; unguarded,
+        # OperatorPoly printed a*d^-1 and a*d^1.5, and ElementPoly failed on a missing attribute
+        pytest.param(
+            lambda: OperatorPoly({(Comp((0,)), -1): ONE}), ValueError, "a power of d must be nonnegative",
+            id="OperatorPoly(dpow=-1)",
+        ),
+        pytest.param(
+            lambda: OperatorPoly({(Comp((0,)), 1.5): ONE}), TypeError, "a power of d must be an int, not float",
+            id="OperatorPoly(dpow=1.5)",
+        ),
+        pytest.param(
+            lambda: OperatorPoly({(Comp((0,)), True): ONE}), TypeError, "a power of d must be an int, not bool",
+            id="OperatorPoly(dpow=True)",
+        ),
+        pytest.param(
+            lambda: OperatorPoly({((0,), 1): ONE}), TypeError, "a word must be a Comp, not tuple",
+            id="OperatorPoly(word=tuple)",
+        ),
+        pytest.param(
+            lambda: OperatorPoly({(Comp((0,)), 1): 3}), TypeError, "a coefficient must be a QPoly, not int",
+            id="OperatorPoly(coeff=int)",
+        ),
+        pytest.param(
+            lambda: ElementPoly({(0, 1): ONE}), TypeError, "a word must be a Comp, not tuple",
+            id="ElementPoly(word=tuple)",
+        ),
+        pytest.param(
+            lambda: ElementPoly({Comp((0,)): 3}), TypeError, "a coefficient must be a QPoly, not int",
+            id="ElementPoly(coeff=int)",
+        ),
+        pytest.param(
+            lambda: OperatorPoly.d().coefficient(Comp(), True), TypeError, "a power of d must be an int, not bool",
+            id="coefficient(dpow=True)",
         ),
     ],
 )

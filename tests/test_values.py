@@ -20,7 +20,7 @@ from qcurvature.curvature import (
     VerifyReport,
 )
 from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly
-from qcurvature.freealg import ElementPoly, Term
+from qcurvature.freealg import ElementPoly, Term, _term
 from qcurvature.paths import Comp, Edge, WeightRule
 
 PREFIX = WeightRule.PREFIX
@@ -152,6 +152,39 @@ def test_copies_and_pickles_are_equal_values(name):
     value = VALUES[name][0]()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
+
+
+# name: (a trusted constructor, which skips the checks, and the checking
+# constructor that builds the same value)
+TRUSTED = {
+    "Comp._trusted": (lambda: Comp._trusted((2, 0, 1)), lambda: Comp((2, 0, 1))),
+    "QPoly._trusted": (lambda: QPoly._trusted((1, 0, 3)), lambda: QPoly((1, 0, 3))),
+    "freealg._term": (
+        lambda: _term(QPoly((1, 1)), Comp._trusted((0, 1)), 2), lambda: Term(QPoly((1, 1)), Comp((0, 1)), 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED))
+def test_trusted_constructors_make_the_checked_value(name):
+    # they set each slot through its descriptor, past __setattr__, and must
+    # still make a value that is equal, hashes and shows the same, stays
+    # immutable and survives copy and pickle
+    trusted, checked = TRUSTED[name]
+    value, expected = trusted(), checked()
+    twins = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    for made in (value, *twins):
+        assert type(made) is type(expected) and made == expected
+        assert hash(made) == hash(expected) and repr(made) == repr(expected)
+    for field in type(value).__slots__:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
 
 
 class TestConstruction:
