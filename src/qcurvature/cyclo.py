@@ -37,8 +37,9 @@ class Frozen:
     __slots__ = ()
 
     def _fill(self, *values: object) -> None:
+        cls = type(self)
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            getattr(cls, name).__set__(self, value)  # the slot's descriptor, past __setattr__
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -79,7 +80,7 @@ class QPoly(Frozen):
         c = int_tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        _set_coeffs(self, c)
 
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...]) -> QPoly:
@@ -429,28 +430,24 @@ def reduce(p: QPoly, m: CycloModulus) -> QPoly:
     """Unique remainder of p modulo the cyclotomic modulus.
 
     p is first folded modulo q^n - 1, an O(deg p) rotation that is exact
-    because Phi_n divides q^n - 1; :func:`remainder_of_folded` then
+    because Phi_n divides q^n - 1; :func:`_folded_remainder` then
     finishes the division by Phi_n.
     """
     c, n = p.coeffs, m.n
     folded = [sum(c[i::n]) for i in range(n)] if len(c) > n else list(c)
-    return remainder_of_folded(folded, m)
-
-
-def remainder_of_folded(values: list[int], m: CycloModulus) -> QPoly:
-    """Remainder modulo Phi_n of ``sum(values[i] * q**i)``, for at most n values.
-
-    A remainder-only long division: Phi_n is monic, so each step subtracts
-    the top value times phi's lower terms and no quotient is built.  The
-    result keeps integer coefficients and has degree < deg(phi).  ``values``
-    is overwritten.
-    """
-    return _folded_remainder(m)(values)
+    return _folded_remainder(m)(folded)
 
 
 def _folded_remainder(m: CycloModulus) -> Callable[[list[int]], QPoly]:
-    """:func:`remainder_of_folded` modulo ``m``, as a function of the values alone:
-    phi's nonzero lower terms are listed once, for every call of the function."""
+    """The function taking at most n values to the remainder of
+    ``sum(values[i] * q**i)`` modulo ``m``'s Phi_n.
+
+    A remainder-only long division: Phi_n is monic, so each step subtracts
+    the top value times phi's lower terms and no quotient is built.  The
+    result keeps integer coefficients and has degree < deg(phi); ``values``
+    is overwritten.  Phi's nonzero lower terms are listed once, for every
+    call of the returned function.
+    """
     d = m.phi.degree
     low = [(j, c) for j, c in enumerate(m.phi.coeffs[:d]) if c]
 

@@ -69,19 +69,13 @@ class Term(Frozen):
     __slots__ = ("coeff", "mono", "dpow")
 
     def __init__(self, coeff: QPoly, mono: Comp, dpow: int):
-        self._fill(coeff, mono, dpow)
+        # what _fill does, unrolled: terms() makes one Term per summand
+        _set_coeff(self, coeff)
+        _set_mono(self, mono)
+        _set_dpow(self, dpow)
 
 
 _set_coeff, _set_mono, _set_dpow = (getattr(Term, name).__set__ for name in Term.__slots__)
-
-
-def _term(coeff: QPoly, mono: Comp, dpow: int) -> Term:
-    """``Term(coeff, mono, dpow)``, each slot set through its descriptor."""
-    made = object.__new__(Term)
-    _set_coeff(made, coeff)
-    _set_mono(made, mono)
-    _set_dpow(made, dpow)
-    return made
 
 
 def _word(mono: Comp) -> tuple[int, ...]:
@@ -200,7 +194,7 @@ class OperatorPoly(_SparseSum):
         """Summands in canonical order, dpow descending, then word order: the stored order."""
         comp = Comp._trusted
         blocks = self._terms.items()
-        return [_term(coeff, comp(word), dpow) for dpow, block in blocks for word, coeff in block.items()]
+        return [Term(coeff, comp(word), dpow) for dpow, block in blocks for word, coeff in block.items()]
 
     def coefficient(self, mono: Comp, dpow: int) -> QPoly:
         return self._terms.get(_power(dpow), {}).get(_word(mono), ZERO)

@@ -58,7 +58,7 @@ class Comp(Frozen):
         e = int_tuple(entries)
         if any(x < 0 for x in e):
             raise ValueError("entries must be nonnegative")
-        object.__setattr__(self, "entries", e)
+        _set_entries(self, e)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> Comp:
@@ -85,13 +85,6 @@ class Comp(Frozen):
     def degree(self) -> int:
         """Degree of the word: each factor e_j has degree j + 1."""
         return sum(self.entries) + len(self.entries)
-
-    def __mul__(self, other: Comp) -> Comp:
-        """Concatenation of words."""
-        return Comp._trusted(self.entries + other.entries)
-
-    def prepended(self) -> Comp:
-        return Comp._trusted((0,) + self.entries)
 
     def sort_key(self) -> tuple:
         return _word_order(self.entries)

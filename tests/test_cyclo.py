@@ -22,7 +22,6 @@ from qcurvature.cyclo import (
     q_factorial,
     q_number,
     reduce,
-    remainder_of_folded,
 )
 
 qpolys = st.lists(st.integers(-9, 9), max_size=8).map(tuple).map(QPoly)
@@ -284,19 +283,12 @@ class TestReduce:
         assert reduce(p, m) == divmod(p, m.phi)[1]
 
     @given(st.data(), st.integers(2, 39))
-    def test_remainder_of_folded_equals_plain_division(self, data, n):
-        # up to n values, trailing zeros allowed: what a fold mod q^n - 1 leaves
-        values = data.draw(st.lists(st.integers(-99, 99), max_size=n))
-        m = CycloModulus.of(n)
-        expected = divmod(QPoly(tuple(values)), m.phi)[1]
-        assert remainder_of_folded(list(values), m) == expected
-
-    @given(st.data(), st.integers(2, 39))
-    def test_one_folded_remainder_serves_every_call(self, data, n):
-        # the production route lists phi's lower terms once, then divides many folded values
+    def test_folded_remainder_equals_plain_division(self, data, n):
+        # up to n values, trailing zeros allowed: what a fold mod q^n - 1 leaves;
+        # one remainder function divides several lists, as the root route uses it
         m = CycloModulus.of(n)
         remainder = cyclo._folded_remainder(m)
-        for values in data.draw(st.lists(st.lists(st.integers(-99, 99), max_size=n), max_size=4)):
+        for values in data.draw(st.lists(st.lists(st.integers(-99, 99), max_size=n), min_size=1, max_size=4)):
             assert remainder(list(values)) == divmod(QPoly(tuple(values)), m.phi)[1]
 
     @given(qpolys, st.integers(2, 12))

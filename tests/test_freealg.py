@@ -224,7 +224,7 @@ class TestWordCode:
     def test_moves_on_codes_are_moves_on_words(self):
         for s in self.words:
             c = spec_code(s.entries)
-            assert spec_code(s.prepended().entries) == (c << 1) | 1
+            assert spec_code((0,) + s.entries) == (c << 1) | 1
             left = 0  # P_i, the degree left of entry i: the bit where it starts
             x = s.entries
             for i, entry in enumerate(x, start=1):

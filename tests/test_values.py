@@ -20,7 +20,7 @@ from qcurvature.curvature import (
     VerifyReport,
 )
 from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly
-from qcurvature.freealg import ElementPoly, Term, _term
+from qcurvature.freealg import ElementPoly, Term
 from qcurvature.paths import Comp, Edge, WeightRule
 
 PREFIX = WeightRule.PREFIX
@@ -159,9 +159,6 @@ def test_copies_and_pickles_are_equal_values(name):
 TRUSTED = {
     "Comp._trusted": (lambda: Comp._trusted((2, 0, 1)), lambda: Comp((2, 0, 1))),
     "QPoly._trusted": (lambda: QPoly._trusted((1, 0, 3)), lambda: QPoly((1, 0, 3))),
-    "freealg._term": (
-        lambda: _term(QPoly((1, 1)), Comp._trusted((0, 1)), 2), lambda: Term(QPoly((1, 1)), Comp((0, 1)), 2)
-    ),
 }
 
 
