@@ -211,7 +211,13 @@ def _path_terms(
     At the root, d^n is gone and every coefficient is reduced modulo the
     n-th cyclotomic polynomial; coefficients that vanish are skipped.
     """
-    reduce = CycloModulus.of(n).reduce if mode == ROOT else _identity
+    reduce = _identity
+    if mode == ROOT:
+        remainder = _folded_remainder(CycloModulus.of(n))  # one division for every coefficient
+
+        def reduce(c: QPoly) -> QPoly:
+            return remainder(c.coeffs)
+
     by_power: dict[int, list[tuple[int, ...]]] = {}
     for s in final:
         by_power.setdefault(n - sum(s) - len(s), []).append(s)  # n minus the degree of s
@@ -769,8 +775,8 @@ def _check_roots(n: int, rule: WeightRule, final: Table, production: bool) -> li
     difference at dpow = k, and :func:`production_terms` at the root, the stream
     the CLI writes, which takes no rule, so the check runs no arbitration of its own.
     """
-    reduce = CycloModulus.of(n).reduce
-    expected = ((k, ((s, reduce(c)) for s, c in terms)) for k, terms in _maurer_cartan_terms(n))
+    remainder = _folded_remainder(CycloModulus.of(n))
+    expected = ((k, ((s, remainder(c.coeffs)) for s, c in terms)) for k, terms in _maurer_cartan_terms(n))
     others = (expected, production_terms(n, ROOT)) if production else (expected,)
     mc, *commutes = _differences(_path_terms(n, ROOT, final), *others)
     rows = [_compared("maurer-cartan", n, rule, mc, {"path_value": 0, "oracle_value": 1})]

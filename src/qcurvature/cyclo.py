@@ -23,7 +23,7 @@ __all__ = [
     "poly_from_coeffs",
 ]
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache
 from itertools import accumulate
 from math import isqrt
@@ -32,9 +32,23 @@ from operator import add
 
 class Frozen:
     """Immutable value whose fields are ``__slots__``, set once (:meth:`_fill`), compared
-    within one class, hashed together (not when one is a dict) and shown by ``repr``."""
+    within one class, hashed together (not when one is a dict) and shown by ``repr``.
+
+    A one-field class also names its slot's setter ``_set`` (``Cls._set =
+    Cls.field.__set__``), through which :meth:`_trusted` builds it."""
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, value: object) -> Frozen:
+        """The one-field value holding ``value`` as it is: no check, no copy.
+
+        Internal constructor: the caller guarantees that ``value`` is already
+        in the form the checking constructor would make.
+        """
+        made = object.__new__(cls)
+        cls._set(made, value)  # the slot's descriptor, past __setattr__
+        return made
 
     def _fill(self, *values: object) -> None:
         cls = type(self)
@@ -80,18 +94,7 @@ class QPoly(Frozen):
         c = int_tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        _set_coeffs(self, c)
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> QPoly:
-        """Wrap an already canonical tuple of ints, skipping validation.
-
-        Internal kernel constructor: the caller guarantees ``coeffs`` is a
-        tuple of ``int`` with no trailing zero.
-        """
-        p = object.__new__(cls)
-        _set_coeffs(p, coeffs)
-        return p
+        QPoly._set(self, c)
 
     def __eq__(self, other: object) -> bool:
         return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented
@@ -281,7 +284,7 @@ def _coerce(value: object) -> QPoly:
     return NotImplemented
 
 
-_set_coeffs = QPoly.coeffs.__set__  # sets the slot past Frozen.__setattr__
+QPoly._set = QPoly.coeffs.__set__
 ZERO = QPoly()
 ONE = QPoly((1,))
 
@@ -427,31 +430,27 @@ class CycloModulus(Frozen):
 
 
 def reduce(p: QPoly, m: CycloModulus) -> QPoly:
-    """Unique remainder of p modulo the cyclotomic modulus.
+    """Unique remainder of p modulo the cyclotomic modulus, by :func:`_folded_remainder`."""
+    return _folded_remainder(m)(p.coeffs)
 
-    p is first folded modulo q^n - 1, an O(deg p) rotation that is exact
-    because Phi_n divides q^n - 1; :func:`_folded_remainder` then
-    finishes the division by Phi_n.
+
+def _folded_remainder(m: CycloModulus) -> Callable[[Sequence[int]], QPoly]:
+    """The function taking values to the remainder of ``sum(values[i] * q**i)``
+    modulo ``m``'s Phi_n; ``values`` is left as it is.
+
+    Values past the first n are first folded modulo q^n - 1, an O(len)
+    rotation that is exact because Phi_n divides q^n - 1.  Then a
+    remainder-only long division: Phi_n is monic, so each step subtracts the
+    top value times phi's lower terms and no quotient is built.  The result
+    keeps integer coefficients and has degree < deg(phi).  Phi's nonzero
+    lower terms are listed once, for every call of the returned function, so
+    a caller reducing many values holds one.
     """
-    c, n = p.coeffs, m.n
-    folded = [sum(c[i::n]) for i in range(n)] if len(c) > n else list(c)
-    return _folded_remainder(m)(folded)
-
-
-def _folded_remainder(m: CycloModulus) -> Callable[[list[int]], QPoly]:
-    """The function taking at most n values to the remainder of
-    ``sum(values[i] * q**i)`` modulo ``m``'s Phi_n.
-
-    A remainder-only long division: Phi_n is monic, so each step subtracts
-    the top value times phi's lower terms and no quotient is built.  The
-    result keeps integer coefficients and has degree < deg(phi); ``values``
-    is overwritten.  Phi's nonzero lower terms are listed once, for every
-    call of the returned function.
-    """
-    d = m.phi.degree
+    n, d = m.n, m.phi.degree
     low = [(j, c) for j, c in enumerate(m.phi.coeffs[:d]) if c]
 
-    def remainder(values: list[int]) -> QPoly:
+    def remainder(values: Sequence[int]) -> QPoly:
+        values = [sum(values[i::n]) for i in range(n)] if len(values) > n else list(values)
         for top in range(len(values) - 1, d - 1, -1):
             head = values[top]
             if head:

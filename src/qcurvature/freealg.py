@@ -57,7 +57,7 @@ from itertools import repeat
 from math import factorial
 from operator import add, lshift
 
-from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly
+from .cyclo import ONE, ZERO, CycloModulus, Frozen, QPoly, _folded_remainder
 from .paths import LATEX, TEXT, Comp, _word_order
 
 Generator = str | int  # "d", or an integer j standing for e_j
@@ -120,7 +120,7 @@ def _by_power(blocks: dict[int, dict]) -> dict[int, dict]:
     return {dpow: block for dpow in sorted(blocks, reverse=True) if (block := _canonical(blocks[dpow]))}
 
 
-class _SparseSum:
+class _SparseSum(Frozen):
     """A finite sum of coefficient * word: what :class:`OperatorPoly` and
     :class:`ElementPoly` share.
 
@@ -128,27 +128,16 @@ class _SparseSum:
     coefficient and keep their words in canonical order, so reading a block
     in order reads it sorted.  An element is one block; an operator keeps one
     per power of d, dpow descending.  The public constructors take Comps and
-    check every word, power of d and coefficient; the operations build their
-    results through :meth:`_trusted`, as do the operator oracles, whose
-    streams come in this shape.  A sum adds to and equals only a sum of its
-    own class.
+    check every word, power of d and coefficient.  The operations, and the
+    operator oracles, whose streams come in this shape, build their results
+    through :meth:`Frozen._trusted`, which takes a dict already in the stored
+    shape with no check, sort or copy.  A sum is a :class:`Frozen` value whose
+    one field, ``_terms``, each sum class declares itself (``Frozen`` reads a
+    value's own ``__slots__``): it adds to and equals only a sum of its own
+    class, and, holding a dict, is not hashable.
     """
 
-    __slots__ = ("_terms",)
-
-    @classmethod
-    def _trusted(cls, terms: dict) -> _SparseSum:
-        """Wrap a dict already in the class's stored shape, skipping the checks, the sort and the copy."""
-        made = object.__new__(cls)
-        made._terms = terms
-        return made
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # mutable-container internals; equality is structural
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}('{self}')"
@@ -160,17 +149,16 @@ class OperatorPoly(_SparseSum):
     Built from a dict mapping (word, k) to a coefficient: a :class:`Comp`,
     a nonnegative int and a :class:`QPoly`.  Zero coefficients are never
     stored; multiplication triggers normal ordering via the Leibniz rewrite.
-    Instances are immutable by convention: no method mutates, all return
-    fresh objects.
+    Instances are immutable values: every operation returns a new one.
     """
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[Comp, int], QPoly] | None = None):
         blocks: dict[int, dict] = {}
         for (mono, dpow), coeff in (terms or {}).items():
             blocks.setdefault(_power(dpow), {})[_word(mono)] = _coefficient(coeff)
-        self._terms = _by_power(blocks)
+        OperatorPoly._set(self, _by_power(blocks))
 
     # -- constructors --------------------------------------------------
 
@@ -242,6 +230,9 @@ class OperatorPoly(_SparseSum):
             for word, coeff in block.items()
         )
         return "".join(_sum_pieces(terms, "*"))
+
+
+OperatorPoly._set = OperatorPoly._terms.__set__
 
 
 def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
@@ -332,14 +323,14 @@ class ElementPoly(_SparseSum):
 
     Built from a dict mapping a :class:`Comp` to a :class:`QPoly`, zero
     coefficients dropped.  There is no power of d in the key, so an element
-    cannot carry d.  Instances are immutable by convention, as
-    :class:`OperatorPoly`.
+    cannot carry d.  Instances are immutable values, as :class:`OperatorPoly`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Comp, QPoly] | None = None):
-        self._terms = _canonical({_word(mono): _coefficient(coeff) for mono, coeff in (terms or {}).items()})
+        checked = {_word(mono): _coefficient(coeff) for mono, coeff in (terms or {}).items()}
+        ElementPoly._set(self, _canonical(checked))
 
     @classmethod
     def zero(cls) -> ElementPoly:
@@ -363,7 +354,8 @@ class ElementPoly(_SparseSum):
 
     def reduce_mod(self, modulus: CycloModulus) -> ElementPoly:
         # reducing keeps the word order; only a vanished coefficient drops out
-        reduced = ((word, modulus.reduce(coeff)) for word, coeff in self._terms.items())
+        remainder = _folded_remainder(modulus)
+        reduced = ((word, remainder(coeff.coeffs)) for word, coeff in self._terms.items())
         return ElementPoly._trusted({word: coeff for word, coeff in reduced if coeff.coeffs})
 
     def __str__(self) -> str:
@@ -378,6 +370,9 @@ class ElementPoly(_SparseSum):
         """
         terms = ((LATEX.render(word), coeff.latex()) for word, coeff in self._terms.items())
         return "".join(_sum_pieces(terms, ""))
+
+
+ElementPoly._set = ElementPoly._terms.__set__
 
 
 def q_derivative(p: ElementPoly) -> ElementPoly:

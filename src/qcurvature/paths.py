@@ -58,14 +58,7 @@ class Comp(Frozen):
         e = int_tuple(entries)
         if any(x < 0 for x in e):
             raise ValueError("entries must be nonnegative")
-        _set_entries(self, e)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> Comp:
-        """Wrap a tuple already known to hold nonnegative ints, skipping validation."""
-        c = object.__new__(cls)
-        _set_entries(c, entries)
-        return c
+        Comp._set(self, e)
 
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if type(other) is type(self) else NotImplemented
@@ -90,7 +83,7 @@ class Comp(Frozen):
         return _word_order(self.entries)
 
     def __lt__(self, other: Comp) -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.sort_key() < other.sort_key() if type(other) is type(self) else NotImplemented
 
     def __str__(self) -> str:
         if not self.entries:
@@ -129,7 +122,7 @@ class Comp(Frozen):
         return f"Comp({self.entries!r})"
 
 
-_set_entries = Comp.entries.__set__  # sets the slot past Frozen.__setattr__
+Comp._set = Comp.entries.__set__
 EMPTY = Comp(())
 
 
@@ -166,7 +159,7 @@ def _latex_run(j: int, count: int) -> str:
     return f"a^{{{count}}}" if j == 0 else f"({base})^{{{count}}}"
 
 
-class WordStyle:
+class WordStyle(Frozen):
     """A format for words: ``run(j, count)`` renders the factor e_j^count,
     and ``sep`` joins the factors of a word; the empty word is ``1``.
 
@@ -182,7 +175,7 @@ class WordStyle:
     empty = (-1, 0, "")
 
     def __init__(self, run: Callable[[int, int], str], sep: str):
-        self.run, self.sep = run, sep
+        self._fill(run, sep)
 
     def prepend(self, entry: int, suffix: tuple[int, int, str]) -> tuple[int, int, str]:
         head, count, rest = suffix

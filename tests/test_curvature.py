@@ -2,6 +2,7 @@
 
 import copy
 import time
+from collections import Counter
 from itertools import product
 from math import comb, factorial
 
@@ -540,6 +541,23 @@ class TestWordType:
 
 
 class TestArbitrationAndVerify:
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_one_remainder_per_reducing_check(self, n, monkeypatch):
+        # each check that reduces many coefficients at the root lists phi's
+        # lower terms once for every n: the path model, the reduced oracle and
+        # the production route; the infinitesimal check reduces its n entries one by one
+        made = []
+        real = curvature._folded_remainder
+
+        def recorded(modulus):
+            made.append(modulus.n)
+            return real(modulus)
+
+        for module in ("qcurvature.cyclo", "qcurvature.curvature"):
+            monkeypatch.setattr(f"{module}._folded_remainder", recorded)
+        assert verify_suite(n).passed
+        assert Counter(made) == {m: 3 + m for m in range(2, n + 1)}
+
     def test_default_rule_is_prefix(self):
         assert resolve_default_rule() is PREFIX
 

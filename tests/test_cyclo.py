@@ -284,12 +284,15 @@ class TestReduce:
 
     @given(st.data(), st.integers(2, 39))
     def test_folded_remainder_equals_plain_division(self, data, n):
-        # up to n values, trailing zeros allowed: what a fold mod q^n - 1 leaves;
-        # one remainder function divides several lists, as the root route uses it
+        # up to n values, trailing zeros allowed, as a fold mod q^n - 1 leaves them,
+        # and longer lists, which it folds first; one remainder function divides
+        # several lists, as every caller reducing many coefficients uses it
         m = CycloModulus.of(n)
         remainder = cyclo._folded_remainder(m)
-        for values in data.draw(st.lists(st.lists(st.integers(-99, 99), max_size=n), min_size=1, max_size=4)):
-            assert remainder(list(values)) == divmod(QPoly(tuple(values)), m.phi)[1]
+        for values in data.draw(st.lists(st.lists(st.integers(-99, 99), max_size=3 * n), min_size=1, max_size=4)):
+            given_values = list(values)
+            assert remainder(values) == divmod(QPoly(tuple(values)), m.phi)[1]
+            assert values == given_values
 
     @given(qpolys, st.integers(2, 12))
     def test_reduce_is_idempotent(self, p, n):

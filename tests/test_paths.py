@@ -58,6 +58,13 @@ class TestComp:
     def test_order_is_total(self, a, b):
         assert (a < b) or (b < a) or (a == b)
 
+    @pytest.mark.parametrize("other", [(0,), [0], 0, None], ids=["tuple", "list", "int", "None"])
+    def test_orders_only_against_a_comp(self, other):
+        # as with ==, a word is ordered only against a word, and Python refuses the rest
+        assert Comp((1,)).__lt__(other) is NotImplemented
+        with pytest.raises(TypeError, match="'<' not supported"):
+            Comp((1,)) < other
+
     def test_degree_counts_each_factor_plus_order(self):
         assert Comp(()).degree() == 0
         assert Comp((0,)).degree() == 1
