@@ -33,6 +33,8 @@ from .paths import LATEX, TEXT, Comp, Entries, WeightRule, path_sum_dp, path_sum
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+# --rule: "default" runs the arbitration, any other names a WeightRule
+RULES = ("default", *(rule.value for rule in WeightRule))
 
 
 def _positive_int(text: str) -> int:
@@ -64,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("generic", "root"), default="root")
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         if rule:
-            p.add_argument(
-                "--rule", choices=("default", "literal", "prefix"), default="default"
-            )
+            p.add_argument("--rule", choices=RULES, default="default")
 
     p_curv = sub.add_parser("curvature", help="expansion of the n-th deformed power")
     common(p_curv)
@@ -91,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     p_verify.add_argument("--n", type=_positive_int, required=True)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument(
-        "--rule", choices=("default", "literal", "prefix"), default="default"
-    )
+    p_verify.add_argument("--rule", choices=RULES, default="default")
     p_verify.set_defaults(handler=_run_verify)
 
     return parser

@@ -62,6 +62,7 @@ from .cyclo import (
 from .freealg import (
     ElementPoly,
     OperatorPoly,
+    _canonical,
     _maurer_cartan_terms,
     _operator_terms,
     deformed_power_first_order,
@@ -71,6 +72,7 @@ from .paths import (
     Entries,
     WeightRule,
     WordStyle,
+    _degree,
     _last_table,
     _path_sums_enum,
     _steps,
@@ -220,7 +222,7 @@ def _path_terms(
 
     by_power: dict[int, list[tuple[int, ...]]] = {}
     for s in final:
-        by_power.setdefault(n - sum(s) - len(s), []).append(s)  # n minus the degree of s
+        by_power.setdefault(n - _degree(s), []).append(s)
     for k in range(n if mode == GENERIC else n - 1, -1, -1):
         found = sorted(by_power.pop(k, ()), key=_word_order)
         values = ((s, reduce(final[s])) for s in found)
@@ -577,18 +579,9 @@ def _oracle_rows(rule: WeightRule, tables: Iterable[Table]) -> Iterator[CheckRes
     return (_check_oracle_equivalence(n, rule, table) for n, table in enumerate(tables) if n >= 2)
 
 
-def _arbitrate(rows: dict[WeightRule, Iterable[CheckResult]]) -> dict[WeightRule, dict | None]:
-    """Each rule's first oracle-equivalence counterexample with
-    n <= ARBITRATION_N_MAX, or None where it reproduces the operator.
-
-    ``rows`` holds each rule's oracle-equivalence rows in ascending n; they
-    are read only up to the rule's first failure.
-    """
-    first_failure = {}
-    for rule, rule_rows in rows.items():
-        failures = (row for row in rule_rows if row.n <= ARBITRATION_N_MAX and not row.passed())
-        first_failure[rule] = next((row.counterexample for row in failures), None)
-    return first_failure
+def _first_failure(rows: Iterable[CheckResult]) -> dict | None:
+    """The counterexample of the first failing row, read no further; None when every row passes."""
+    return next((row.counterexample for row in rows if not row.passed()), None)
 
 
 @cache
@@ -599,8 +592,7 @@ def resolve_default_rule() -> WeightRule:
     expansion for n = 2..ARBITRATION_N_MAX; that one is the shipped default.
     """
     # lazy rows, so each rule stops at its first failure
-    first_failure = _arbitrate({r: _oracle_rows(r, _steps(ARBITRATION_N_MAX, r)) for r in WeightRule})
-    passing = [rule for rule, bad in first_failure.items() if bad is None]
+    passing = [r for r in WeightRule if _first_failure(_oracle_rows(r, _steps(ARBITRATION_N_MAX, r))) is None]
     if len(passing) != 1:
         raise RuntimeError(f"rule arbitration did not single out one rule: {passing}")
     return passing[0]
@@ -815,10 +807,9 @@ def _check_infinitesimal(n: int, rule: WeightRule) -> CheckResult:
 
 def _check_dp_enum(n: int, tables: Mapping[WeightRule, Table]) -> CheckResult:
     """Each rule's table n of its DP pass, in ``tables``, against its paths
-    enumerated, both keyed by entries: each table's items in canonical order are one block."""
+    enumerated, both keyed by entries: each table, made canonical, is one block."""
     for rule, table in tables.items():
-        dp, enum = ([(0, sorted(t.items(), key=lambda item: _word_order(item[0])))]
-                    for t in (table, _path_sums_enum(n, rule)))
+        dp, enum = ([(0, _canonical(t).items())] for t in (table, _path_sums_enum(n, rule)))
         [found] = _differences(dp, enum)
         if found is not None:
             _, s, a, b = found
@@ -868,7 +859,7 @@ def verify_suite(n_max: int = 6, rule: WeightRule | None = None) -> VerifyReport
     passes = {r: _steps(max(n_max, ARBITRATION_N_MAX), r) for r in WeightRule}
     kept = {r: [next(tables) for _ in range(ARBITRATION_N_MAX + 1)] for r, tables in passes.items()}
     oracle_rows = {r: list(_oracle_rows(r, tables)) for r, tables in kept.items()}
-    first_failure = _arbitrate(oracle_rows)
+    first_failure = {r: _first_failure(rows) for r, rows in oracle_rows.items()}
     passing = [r for r, bad in first_failure.items() if bad is None]
     failing = [r for r in first_failure if r not in passing]
     arbitration = {

@@ -229,7 +229,7 @@ class OperatorPoly(_SparseSum):
             for dpow, block in self._terms.items()
             for word, coeff in block.items()
         )
-        return "".join(_sum_pieces(terms, "*"))
+        return "".join(_sum_pieces(terms, TEXT.sep))
 
 
 OperatorPoly._set = OperatorPoly._terms.__set__
@@ -261,7 +261,7 @@ def _operator_word(word: tuple[int, ...], dpow: int) -> str:
     factors = [TEXT.render(word)] if word else []
     if dpow:
         factors.append("d" if dpow == 1 else f"d^{dpow}")
-    return "*".join(factors) or "1"
+    return TEXT.sep.join(factors) or "1"
 
 
 @cache
@@ -360,7 +360,7 @@ class ElementPoly(_SparseSum):
 
     def __str__(self) -> str:
         terms = ((TEXT.render(word), coeff.compact()) for word, coeff in self._terms.items())
-        return "".join(_sum_pieces(terms, "*"))
+        return "".join(_sum_pieces(terms, TEXT.sep))
 
     def latex(self) -> str:
         """The element in LaTeX, summands in canonical word order.
@@ -369,7 +369,7 @@ class ElementPoly(_SparseSum):
         '(1+q)d_M(a) + a^{2}'
         """
         terms = ((LATEX.render(word), coeff.latex()) for word, coeff in self._terms.items())
-        return "".join(_sum_pieces(terms, ""))
+        return "".join(_sum_pieces(terms, LATEX.sep))
 
 
 ElementPoly._set = ElementPoly._terms.__set__

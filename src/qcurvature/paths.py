@@ -41,6 +41,11 @@ def _word_order(entries: tuple[int, ...]) -> tuple:
     return (len(entries), entries[::-1])
 
 
+def _degree(entries: tuple[int, ...]) -> int:
+    """The degree of a word as entries: each factor e_j has degree j + 1."""
+    return sum(entries) + len(entries)
+
+
 class Comp(Frozen):
     """A composition vector: finite tuple of nonnegative integers.
 
@@ -77,7 +82,7 @@ class Comp(Frozen):
 
     def degree(self) -> int:
         """Degree of the word: each factor e_j has degree j + 1."""
-        return sum(self.entries) + len(self.entries)
+        return _degree(self.entries)
 
     def sort_key(self) -> tuple:
         return _word_order(self.entries)
@@ -243,7 +248,7 @@ class Edge(Frozen):
 
 def _moves(e: tuple[int, ...], rule: WeightRule) -> list[tuple[tuple[int, ...], int]]:
     """Target, as entries, and exponent of each outgoing edge of e, in :func:`successors`' order."""
-    moves = [((0,) + e, 0), (e, sum(e) + len(e))]
+    moves = [((0,) + e, 0), (e, _degree(e))]
     for i, exponent in enumerate(rule.increment_exponents(e)):
         moves.append((e[:i] + (e[i] + 1,) + e[i + 1 :], exponent))
     return moves

@@ -614,6 +614,25 @@ class TestArbitrationAndVerify:
         finally:
             resolve_default_rule.cache_clear()
 
+    def test_rows_past_the_arbitration_range_leave_it_alone(self, monkeypatch):
+        # a stray d in the operator oracle at n = 7, past the arbitration's
+        # fixed range: the arbitration still singles out prefix, and the
+        # oracle-equivalence row at n = 7 reports the fault
+        real = curvature._operator_terms
+
+        def plus_d_at_7(n):
+            for k, terms in real(n):
+                yield k, [((), ONE), *terms] if n == 7 and k == 1 else terms
+
+        monkeypatch.setattr(curvature, "_operator_terms", plus_d_at_7)
+        report = verify_suite(8)
+        assert report.selected_rule == "prefix"
+        [row] = [c for c in report.checks if c.check == "weight-rule-arbitration"]
+        assert row.status == "pass"
+        assert not report.passed
+        rows = [c for c in report.checks if c.check == "oracle-equivalence" and c.rule == "prefix"]
+        assert [c.n for c in rows if not c.passed()] == [7]
+
     def test_reduction_commutes_only_where_two_routes_differ(self):
         # under the literal rule the root route is the path model itself,
         # so the check could not fail and is not run

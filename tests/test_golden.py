@@ -3,7 +3,10 @@
 ``golden_cli.json`` maps each invocation below to its exit code and the
 SHA-256 of its stdout: every mode, format and rule of ``curvature`` for
 n <= 8, and its default-rule root text for 9 <= n <= 12, which runs the
-packed root decode on more lanes; ``verify`` at n = 3, 6, 8 and 10 (below, at
+packed root decode on more lanes; every mode and format of ``curvature``
+under the default rule at n = 13 and 14, its root text up to n = 18 and its
+generic text up to n = 16 (``--rule literal`` at these sizes takes seconds
+per run and is left out); ``verify`` at n = 3, 6, 8 and 10 (below, at
 and above the arbitration's fixed range), ``binom`` for n <= 6 and
 0 <= k <= n, ``infinitesimal`` for 2 <= n <= 6, and ``cq --n 4`` at five
 vertices with both methods.  The ``curvature`` digests for n <= 8 and the
@@ -43,6 +46,13 @@ def invocations() -> list[tuple[str, ...]]:
                     out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", rule))
     for n in range(9, 13):
         out.append(("curvature", "--n", str(n), "--mode", "root", "--format", "text", "--rule", "default"))
+    for n in (13, 14):
+        for mode in modes(n):
+            for fmt in FORMATS:
+                out.append(("curvature", "--n", str(n), "--mode", mode, "--format", fmt, "--rule", "default"))
+    for mode, top in (("root", 18), ("generic", 16)):
+        for n in range(15, top + 1):
+            out.append(("curvature", "--n", str(n), "--mode", mode, "--format", "text", "--rule", "default"))
     for n in (3, 6, 8, 10):
         for fmt in ("text", "json"):
             for rule in RULES:
@@ -68,12 +78,22 @@ def invocations() -> list[tuple[str, ...]]:
     return out
 
 
+class Digest(io.TextIOBase):
+    """A text stream that keeps only the SHA-256 of what is written to it, not the text."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        return len(text)
+
+
 def capture(argv: tuple[str, ...]) -> dict:
-    stdout = io.StringIO()
+    stdout = Digest()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = run(list(argv))
-    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-    return {"exit": code, "sha256": digest}
+    return {"exit": code, "sha256": stdout.sha256.hexdigest()}
 
 
 @pytest.fixture(scope="module")
