@@ -17,7 +17,7 @@ print("\nq-factorials:")
 for k in range(5):
     print(f"  [{k}]_q! = {q_factorial(k)}")
 
-print("\nGaussian binomials (computed division-free via the Pascal recurrence):")
+print("\nGaussian binomials (a windowed product of q-numbers, each division by [i]_q exact):")
 for n in range(5):
     row = "   ".join(str(q_binomial(n, k)) for k in range(n + 1))
     print(f"  n={n}:  {row}")

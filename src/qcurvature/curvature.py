@@ -17,10 +17,12 @@ the one place where a rule picks its route: the arbitrated rule reads that strea
 and any other rule, which the power formula does not cover, reads the path
 model's stream (:func:`_path_terms`) in the same (k, terms) shape.  The
 library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`)
-and every CLI format read that one stream.  The recursion defining M(k)
-(:func:`maurer_cartan_element`), the path model under the arbitrated rule
-(gathered by :func:`path_expansion`, :func:`path_root_expansion`) and the
-operator expansion are oracles; verify reads each as a stream, never a cache.
+and every CLI format read that one stream.  The path model under the
+arbitrated rule (gathered by :func:`path_expansion`, :func:`path_root_expansion`)
+and the operator expansion are oracles; verify reads each as a stream, never a
+cache.  M(k), the element the recursion M(k+1) = dM(k) + a*M(k) defines, is
+the operator expansion's d^0 block, D^k applied to 1
+(:func:`maurer_cartan_element`).
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .freealg import (
     ElementPoly,
     OperatorPoly,
     _canonical,
-    _maurer_cartan_terms,
     _operator_terms,
     deformed_power_first_order,
 )
@@ -376,7 +377,7 @@ def production_terms(
     Yields (k, terms) for every power d^k from the top down (d^n in generic
     mode, d^(n-1) at the root).  ``terms`` yields (word, present(coefficient))
     in canonical word order, with words built by ``words`` and vanished
-    coefficients skipped; read each ``terms`` before the next power.
+    coefficients skipped.
 
     Generic mode: c[n] = 1 and c[n-k] = [n choose k]_q * M(k), M(k) from
     :func:`_closed_form_walk` over one q-Pascal table per call, whose row n
@@ -763,12 +764,15 @@ def _check_oracle_equivalence(n: int, rule: WeightRule, final: Table) -> CheckRe
 def _check_roots(n: int, rule: WeightRule, final: Table, production: bool) -> list[CheckResult]:
     """maurer-cartan at n, then reduction-commutes when ``production``, both
     against one path-root stream over ``final``, the dynamic program's table n:
-    M(n) * d^0 reduced at the root, so a stray coefficient of d^k, k >= 1, is a
-    difference at dpow = k, and :func:`production_terms` at the root, the stream
-    the CLI writes, which takes no rule, so the check runs no arbitration of its own.
+    M(n) * d^0 reduced at the root, M(n) streamed as the d^0 block of the
+    operator expansion (D^n applied to 1), so a stray coefficient of d^k,
+    k >= 1, is a difference at dpow = k, and :func:`production_terms` at the
+    root, the stream the CLI writes, which takes no rule, so the check runs no
+    arbitration of its own.
     """
     remainder = _folded_remainder(CycloModulus.of(n))
-    expected = ((k, ((s, remainder(c.coeffs)) for s, c in terms)) for k, terms in _maurer_cartan_terms(n))
+    expected = ((k, ((s, remainder(c.coeffs)) for s, c in terms))
+                for k, terms in _operator_terms(n) if k == 0)
     others = (expected, production_terms(n, ROOT)) if production else (expected,)
     mc, *commutes = _differences(_path_terms(n, ROOT, final), *others)
     rows = [_compared("maurer-cartan", n, rule, mc, {"path_value": 0, "oracle_value": 1})]

@@ -7,11 +7,12 @@ single rewrite
     d * e_j  ->  e_{j+1} + q^(j+1) * e_j * d.
 
 Normal ordering moves every d to the right of every e_j.  Expanding powers
-of d + e_0 in this algebra (:func:`deformed_power`) and running the
-recursion M(n+1) = dM(n) + a*M(n) (:func:`maurer_cartan_element`) are the
-oracles against which the weighted-path model and the closed product formula
-are validated.  Both run iteratively on one list per degree, indexed by an
-int code of each word (its entries as runs of zero bits, so that every
+of d + e_0 in this algebra (:func:`deformed_power`) is the oracle against
+which the weighted-path model and the closed product formula are validated.
+The element M(n) = D^(n-1) a of the recursion M(n+1) = dM(n) + a*M(n)
+(:func:`maurer_cartan_element`) is read off it: it is D^n's d^0 block, D^n
+applied to 1.  The expansion runs iteratively on one list per degree, indexed
+by an int code of each word (its entries as runs of zero bits, so that every
 rewrite is a bit operation and its power of q a bit position), holding
 Kronecker-packed coefficients, one int per coefficient with a 64-bit multiple
 of lane per power of q; the lane bound, (n+1)! after n steps, follows from
@@ -21,7 +22,7 @@ decoded once, at the end, from a table of the words of each degree built from
 the previous degree's, in canonical order, into a (k, terms) stream that verify
 reads and only the public functions gather.  Each distinct packed int of a
 block is unpacked once and its QPoly shared by every word holding it: below
-the lane bound packing is injective, and a QPoly is immutable.  They share no
+the lane bound packing is injective, and a QPoly is immutable.  It shares no
 packing or decoding code with the production route.  The general
 :class:`OperatorPoly` product is kept for arbitrary operators.
 
@@ -416,11 +417,11 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # packed oracles
 # ---------------------------------------------------------------------------
 #
-# deformed_power and maurer_cartan_element run their recursions on one list
-# per degree, indexed by an int code of each word.  Read from bit 0 upwards,
-# the code of (s_1, ..., s_L) is s_1 zeros and a one, then s_2 zeros and a
-# one, and so on, with a leading one at bit D, the word's degree; the empty
-# word is 1.  Every nonempty word of degree D has a code in
+# deformed_power runs its recursion on one list per degree, indexed by an
+# int code of each word.  Read from bit 0 upwards, the code of
+# (s_1, ..., s_L) is s_1 zeros and a one, then s_2 zeros and a one, and so
+# on, with a leading one at bit D, the word's degree; the empty word is 1.
+# Every nonempty word of degree D has a code in
 # [3 * 2^(D-1), 2^(D+1)): the bit below the leading one closes the last
 # entry.  So the offset j of a code in that range is its bits below D - 1,
 # and the block of degree D has 2^(D-1) slots.  Entry i starts at bit P_i,
@@ -449,11 +450,10 @@ def deformed_power_first_order(n: int) -> OperatorPoly:
 # only ever adds q^e times an existing coefficient, so every coefficient is
 # nonnegative and at most its value at q = 1.  At q = 1 one step sends a
 # term whose word has length m to at most m + 2 terms: (d + e_0) * w gives
-# the prepended word and the m + 1 triples of d past w, and dM + a*M gives
-# m raised words and the prepended one.  After step n every word has length
-# at most n, and step 1 has mass at most 2, so the total mass of step n is at
-# most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane and every
-# partial sum.  The lane is rounded up to whole 64-bit words so that
+# the prepended word and the m + 1 triples of d past w.  After step n every
+# word has length at most n, and step 1 has mass at most 2, so the total mass
+# of step n is at most 2 * 3 * ... * (n + 1) = (n + 1)!, and so is every lane
+# and every partial sum.  The lane is rounded up to whole 64-bit words so that
 # unpacking is one conversion to native words (one word holds n <= 19).
 # deformed_power keys its blocks by the word alone: D^m is homogeneous of
 # degree m (d has degree 1, e_j degree j + 1, and the rewrite keeps degree),
@@ -620,33 +620,19 @@ def _operator_terms(n: int) -> Iterator[tuple[int, Iterator]]:
 
 @cache
 def maurer_cartan_element(n: int) -> ElementPoly:
-    """The element obtained by applying the deformed differential n-1 times to a,
-    gathered from :func:`_maurer_cartan_terms`.
+    """The element obtained by applying the deformed differential n-1 times to a:
+    the d^0 block of :func:`deformed_power`, shared with its cached value.
 
-    Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n), run on
-    packed coefficients, one list slot per word of degree n: dM raises each
-    entry in turn, weighted by q to the degree left of it (as
-    :func:`q_derivative`), and a*M prepends an entry (as
-    :func:`multiply_by_a`), each kind of move a few list-slice additions.
-    Its reduction at an n-th root of unity is the full obstruction to the
-    deformed differential having vanishing n-th power.  The curvature routes
-    use the closed product formula for M(n) instead; this recursion is the
-    definition that formula is checked against.
+    Defined by the recursion  M(1) = a,  M(n+1) = dM(n) + a*M(n).  Applied
+    to 1, D^n = sum_k c_k d^k gives c_0, since every d^k with k >= 1 kills
+    1, and D^n 1 = D^(n-1) a = M(n).  Its reduction at an n-th root of unity
+    is the full obstruction to the deformed differential having vanishing
+    n-th power.  The curvature routes use the closed product formula for
+    M(n) instead, which verify checks against this block.
 
     >>> print(maurer_cartan_element(2))
     d(a) + a^2
     """
     if n < 1:
         raise ValueError("n must be positive")
-    [(_, terms)] = _maurer_cartan_terms(n)
-    return ElementPoly._trusted(dict(terms))
-
-
-def _maurer_cartan_terms(n: int) -> Iterator[tuple[int, Iterator]]:
-    """:func:`maurer_cartan_element` as a stream of one block, (0, terms), words as entries."""
-    lane = _lane_bits(n)
-    element, words = [1], [(0,)]  # M(1) = a, the one word of degree 1
-    for m in range(1, n):
-        element = _raised(element, _raising_moves(m), lane)
-        words = _next_words(words)
-    yield 0, _decoded(element, words, lane)
+    return ElementPoly._trusted(deformed_power(n)._terms[0])

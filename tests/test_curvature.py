@@ -3,6 +3,7 @@
 import copy
 import time
 from collections import Counter
+from functools import partial
 from itertools import product
 from math import comb, factorial
 
@@ -131,6 +132,17 @@ class TestProductionRoutes:
         assert generic_expansion(4, LITERAL).c != generic_expansion(4, PREFIX).c
         assert root_of_unity_expansion(4, LITERAL) == path_root_expansion(4, LITERAL)
         assert root_of_unity_expansion(4, LITERAL).c != root_of_unity_expansion(4, PREFIX).c
+
+    @pytest.mark.parametrize("words", [Entries, TEXT], ids=["entries", "text"])
+    @pytest.mark.parametrize("mode", [curvature.GENERIC, curvature.ROOT])
+    @pytest.mark.parametrize("rule", [PREFIX, LITERAL], ids=str)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocks_read_after_the_stream_is_drained(self, n, rule, mode, words):
+        # each block of either route is its own stream: reading it after
+        # every block has been handed out gives what reading in order gives
+        stream = partial(curvature.expansion_terms, n, mode, rule, words)
+        late = [(k, list(terms)) for k, terms in list(stream())]
+        assert late == [(k, list(terms)) for k, terms in stream()]
 
 
 def closed_form(word):
@@ -696,20 +708,31 @@ class TestArbitrationAndVerify:
         assert failing == {("binomial-formula", 6)}
 
     def test_wrong_recursion_fails_verify(self, monkeypatch):
-        # maurer-cartan compares the recursion with the path model; no
-        # production route reads the recursion
-        real = curvature._maurer_cartan_terms
+        # M(n) is the d^0 block of the operator oracle: a fault there at n = 7,
+        # past the arbitration's range, shows in the three rows that read that
+        # block, maurer-cartan among them; no production route reads it
+        real = curvature._operator_terms
 
         def wrong(n):
-            # M(n) + a^n
+            # M(n) + a^n at n = 7
             for k, terms in real(n):
-                yield k, ((w, c + ONE if w == (0,) * n else c) for w, c in terms)
+                if n == 7 and k == 0:
+                    terms = ((w, c + ONE if w == (0,) * n else c) for w, c in terms)
+                yield k, terms
 
-        monkeypatch.setattr(curvature, "_maurer_cartan_terms", wrong)
-        report = verify_suite(6)
+        monkeypatch.setattr(curvature, "_operator_terms", wrong)
+        report = verify_suite(8)
         assert not report.passed
-        failing = {c.check for c in report.checks if not c.passed() and c.rule != "literal"}
-        assert failing == {"maurer-cartan"}
+        [row] = [c for c in report.checks if c.check == "weight-rule-arbitration"]
+        assert row.status == "pass"
+        failing = [c for c in report.checks if not c.passed() and c.rule != "literal"]
+        assert {(c.check, c.n) for c in failing} == {
+            ("oracle-equivalence", 7), ("maurer-cartan", 7), ("binomial-formula", 7)
+        }
+        for c in failing:
+            values = {key: v for key, v in c.counterexample.items() if key.endswith("_value")}
+            assert (c.counterexample["s"], c.counterexample["dpow"]) == ([0] * 7, 0)
+            assert values.pop("oracle_value") == [2] and list(values.values()) == [[1]]
 
     def test_wrong_root_route_fails_verify(self, monkeypatch):
         right = root_of_unity_expansion(6)

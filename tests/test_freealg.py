@@ -20,6 +20,7 @@ from qcurvature.freealg import (
     _decoded,
     _lane_bits,
     _next_words,
+    _operator_terms,
     _raising_moves,
     _unpack_lanes,
     _word_rewrite,
@@ -170,6 +171,13 @@ class TestDeformedPower:
         assert_canonical(deformed_power(n))
         assert_canonical(maurer_cartan_element(n))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_blocks_read_after_the_stream_is_drained(self, n):
+        # each block decodes its own list: reading it after every block has
+        # been handed out gives what reading in order gives
+        late = [(k, list(terms)) for k, terms in list(_operator_terms(n))]
+        assert late == [(k, list(terms)) for k, terms in _operator_terms(n)]
+
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             deformed_power(0)
@@ -298,12 +306,10 @@ class TestWordCode:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_d0_part_of_power_is_maurer_cartan_element(self, n):
-        # D^n's d^0 part is M(n): this checks decoding and gathering only.
-        # Both oracles run the same _raised steps on the same inputs (the top
-        # block of D^(m+1) is _raised of that of D^m, as M(m+1) is of M(m)),
-        # so a fault there passes here; test_matches_general_product,
-        # test_step_matches_general_product and
-        # TestMaurerCartan::test_recursion_soundness check the recursion
+        # maurer_cartan_element(n) shares D^n's d^0 block, so this checks only
+        # that the checking constructor rebuilds that block from the public
+        # terms; test_matches_general_product, test_step_matches_general_product
+        # and TestMaurerCartan::test_recursion_soundness check the recursion
         d0 = {t.mono: t.coeff for t in deformed_power(n).terms() if t.dpow == 0}
         assert ElementPoly(d0) == maurer_cartan_element(n)
 
@@ -376,6 +382,16 @@ class TestMaurerCartan:
     def test_recursion_soundness(self, n):
         mc = maurer_cartan_element(n)
         assert maurer_cartan_element(n + 1) == q_derivative(mc) + multiply_by_a(mc)
+
+    @pytest.mark.parametrize("first", [deformed_power, maurer_cartan_element], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_is_the_shared_d0_block_of_the_power(self, n, first):
+        # M(n) = D^n applied to 1: the cached power's d^0 block, shared
+        # uncopied, whichever of the two is asked for first
+        deformed_power.cache_clear()
+        maurer_cartan_element.cache_clear()
+        first(n)
+        assert maurer_cartan_element(n)._terms is deformed_power(n)._terms[0]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_reduced_power_collapses_to_element(self, n):

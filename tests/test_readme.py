@@ -1,10 +1,15 @@
-"""README's command-line examples print what README says.
+"""README's examples print and return what README says.
 
 In the fenced ``sh`` block under "Command line", the ``# ...`` lines right
 after a ``qcurvature ...`` line are that command's stdout; the comment line
-above a command describes it, and a blank line ends an example.
+above a command describes it, and a blank line ends an example.  The ``json``
+block is the JSON output of one command, and the ``python`` block under
+"Library" runs as it stands, each line whose comment is a Python literal
+evaluating to that literal.
 """
 
+import ast
+import json
 import shlex
 from pathlib import Path
 
@@ -47,3 +52,30 @@ def test_example_prints_what_readme_says(capsys, command, lines):
     assert code == 0
     if lines:
         assert out == "".join(f"{line}\n" for line in lines)
+
+
+def fenced(language: str) -> str:
+    """The one fenced block of ``language`` in README."""
+    [block] = README.read_text(encoding="utf-8").split(f"```{language}\n")[1:]
+    return block.split("```", 1)[0]
+
+
+def test_json_example_is_the_json_output(capsys):
+    assert run(["curvature", "--n", "2", "--mode", "root", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(fenced("json"))
+
+
+def test_library_example_runs_and_returns_what_its_comments_say():
+    block = fenced("python")
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    claims = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            claims.append((code.strip(), ast.literal_eval(comment.strip())))
+        except (ValueError, SyntaxError):
+            continue  # a comment in words, not a value
+    assert claims == [("verify_suite(6).passed", True)]
+    for code, value in claims:
+        assert eval(code, namespace) == value
