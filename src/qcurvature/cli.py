@@ -3,9 +3,11 @@
 Subcommands: ``curvature`` (full expansion), ``cq`` (one path sum),
 ``binom`` (Gaussian binomial), ``infinitesimal`` (first-order
 coefficients), ``verify`` (cross-validation suite).  Output formats:
-text, latex, json; every ``curvature`` format reads one stream of terms
-(``curvature.expansion_terms``): text and LaTeX are written term by term
-as they are computed, JSON is built as one value and written at the end.
+text, latex, json; every ``curvature`` format makes one call of
+``curvature.expansion_terms`` with the style it names (``TEXT``, ``LATEX``,
+or ``Entries`` for JSON), which renders both words and coefficients: text
+and LaTeX are written term by term as they are computed, JSON gathers the
+QPolys as they come and lists them as it is written at the end.
 ``cq``, ``binom`` and ``infinitesimal`` share one writer
 (:func:`_write_polys`), which reduces their values at the root in ``--mode
 root`` and writes them in each format.  Exit codes: 0 success, 1
@@ -107,9 +109,10 @@ def _resolve_rule(args: argparse.Namespace) -> WeightRule:
 
 
 def _emit_json(payload: dict) -> None:
+    """Write ``payload`` as JSON, each :class:`QPoly` in it as its coefficient list."""
     import json  # here, not at the top: only JSON output pays for loading it
 
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(json.dumps(payload, indent=2, ensure_ascii=False, default=coeffs_list))
 
 
 def _require(condition: bool, parser_message: str) -> None:
@@ -143,16 +146,15 @@ def _write_polys(
 def _run_curvature(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
-    if args.format == "json":
-        blocks = expansion_terms(args.n, args.mode, rule, Entries, coeffs_list)
+    style = {"text": TEXT, "latex": LATEX, "json": Entries}[args.format]
+    blocks = expansion_terms(args.n, args.mode, rule, style)
+    if style is Entries:
         _emit_json(expansion_json(args.n, args.mode, rule, blocks))
         return 0
     # text and LaTeX are written term by term: c[k] = ... (c_{k} = ... in LaTeX)
-    latex = args.format == "latex"
-    style, present = (LATEX, QPoly.latex) if latex else (TEXT, QPoly.compact)
-    head = "c_{{{}}} = " if latex else "c[{}] = "
+    head = "c_{{{}}} = " if style is LATEX else "c[{}] = "
     write = sys.stdout.write
-    for k, terms in expansion_terms(args.n, args.mode, rule, style, present):
+    for k, terms in blocks:
         write(head.format(k))
         sys.stdout.writelines(_sum_pieces(terms, style.sep))
         write("\n")

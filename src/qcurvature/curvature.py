@@ -17,7 +17,9 @@ the one place where a rule picks its route: the arbitrated rule reads that strea
 and any other rule, which the power formula does not cover, reads the path
 model's stream (:func:`_path_terms`) in the same (k, terms) shape.  The
 library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`)
-and every CLI format read that one stream.  The path model under the
+and every CLI format read that one stream, through the word style that
+renders both words and coefficients (``TEXT``, ``LATEX``, or :class:`Entries`,
+which keeps entries and QPolys).  The path model under the
 arbitrated rule (gathered by :func:`path_expansion`, :func:`path_root_expansion`)
 and the operator expansion are oracles; verify reads each as a stream, never a
 cache.  M(k), the element the recursion M(k+1) = dM(k) + a*M(k) defines, is
@@ -179,8 +181,9 @@ class CurvatureExpansion(Frozen):
 
 
 def expansion_json(n: int, mode: str, rule: WeightRule, blocks: Blocks) -> dict:
-    """The JSON form of an expansion from its blocks, words as entries and
-    coefficients as lists; a power with no terms is left out."""
+    """The JSON form of an expansion from its blocks, words as entries; a power
+    with no terms is left out.  Coefficients are kept as they arrive: lists,
+    or QPolys, which ``cli._emit_json`` lists as it writes them."""
     c = []
     for k, terms in blocks:
         listed = [{"s": list(s), "coeff": coeff} for s, coeff in terms]
@@ -201,10 +204,7 @@ def _json_list(value: object) -> tuple:
     return tuple(value)
 
 
-def _path_terms(
-    n: int, mode: str, final: Table, words: Words = Entries,
-    present: Callable[[QPoly], object] = _identity,
-) -> Blocks:
+def _path_terms(n: int, mode: str, final: Table, words: Words = Entries) -> Blocks:
     """The path model's expansion of ``mode`` from ``final``, the dynamic
     program's table n, in the shape of :func:`production_terms`.
 
@@ -227,7 +227,7 @@ def _path_terms(
     for k in range(n if mode == GENERIC else n - 1, -1, -1):
         found = sorted(by_power.pop(k, ()), key=_word_order)
         values = ((s, reduce(final[s])) for s in found)
-        yield k, ((words.render(s), present(c)) for s, c in values if c)
+        yield k, ((words.render(s), words.coeff(c)) for s, c in values if c)
 
 
 def _gathered(blocks: Blocks) -> dict[int, ElementPoly]:
@@ -348,11 +348,11 @@ def _closed_form_walk(n: int, rows: list[list[int]], words: Words = Entries) -> 
 
 
 def _distinct(
-    walk: Iterable[tuple[object, int]], decode: Callable[[int], QPoly], present: Callable
+    walk: Iterable[tuple[object, int]], decode: Callable[[int], QPoly], coeff: Callable
 ) -> Iterator[tuple[object, object]]:
-    """(word, present(decode(x))) for each (word, x) of ``walk`` that decodes to nonzero.
+    """(word, coeff(decode(x))) for each (word, x) of ``walk`` that decodes to nonzero.
 
-    Each distinct x is decoded and presented once: words share
+    Each distinct x is decoded and rendered once: words share
     coefficients (at the root, the 65,536 words of M(17) fold to 20,796
     distinct ints, and the 524,288 of M(20) to 165,814).
     """
@@ -360,24 +360,19 @@ def _distinct(
     for word, x in walk:
         if x not in seen:
             value = decode(x)
-            seen[x] = present(value) if value else None
+            seen[x] = coeff(value) if value else None
         shown = seen[x]
         if shown is not None:
             yield word, shown
 
 
-def production_terms(
-    n: int,
-    mode: str,
-    words: Words = Entries,
-    present: Callable[[QPoly], object] = _identity,
-) -> Blocks:
+def production_terms(n: int, mode: str, words: Words = Entries) -> Blocks:
     """The production route of ``mode`` under the oracle-arbitrated rule, as a stream.
 
     Yields (k, terms) for every power d^k from the top down (d^n in generic
-    mode, d^(n-1) at the root).  ``terms`` yields (word, present(coefficient))
-    in canonical word order, with words built by ``words`` and vanished
-    coefficients skipped.
+    mode, d^(n-1) at the root).  ``terms`` yields (word, coefficient) in
+    canonical word order, both built by ``words`` (see :class:`Entries`),
+    vanished coefficients skipped.
 
     Generic mode: c[n] = 1 and c[n-k] = [n choose k]_q * M(k), M(k) from
     :func:`_closed_form_walk` over one q-Pascal table per call, whose row n
@@ -408,27 +403,24 @@ def production_terms(
         for k in range(n - 1, 0, -1):
             yield k, iter(())
         folded = ((word, fold(x)) for word, x in _closed_form_walk(n, rows, words))
-        yield 0, _distinct(folded, reduce_folded, present)
+        yield 0, _distinct(folded, reduce_folded, words.coeff)
         return
-    yield n, iter([(words.finish(words.empty), present(ONE))])
+    yield n, iter([(words.finish(words.empty), words.coeff(ONE))])
     for k in range(n - 1, -1, -1):
         def scaled(x: int, binomial: int = rows[n][k]) -> QPoly:
             return QPoly._trusted(tuple(_unpack(x * binomial, bits)))
-        yield k, _distinct(_closed_form_walk(n - k, rows, words), scaled, present)
+        yield k, _distinct(_closed_form_walk(n - k, rows, words), scaled, words.coeff)
 
 
-def expansion_terms(
-    n: int, mode: str, rule: WeightRule, words: Words = Entries,
-    present: Callable[[QPoly], object] = _identity,
-) -> Blocks:
+def expansion_terms(n: int, mode: str, rule: WeightRule, words: Words = Entries) -> Blocks:
     """The expansion of ``mode`` under ``rule``, in the shape of :func:`production_terms`:
     the one place where a rule picks its route.  The power formula is a theorem
     about the oracle-arbitrated rule only; any other is read out of the path
     model (:func:`_path_terms`) over the dynamic program's last table
     (:func:`_last_table`), built holding two tables at a time and kept nowhere."""
     if rule is resolve_default_rule():
-        return production_terms(n, mode, words, present)
-    return _path_terms(n, mode, _last_table(n, rule), words, present)
+        return production_terms(n, mode, words)
+    return _path_terms(n, mode, _last_table(n, rule), words)
 
 
 def generic_expansion(n: int, rule: WeightRule | None = None) -> CurvatureExpansion:

@@ -34,10 +34,15 @@ class Frozen:
     """Immutable value whose fields are ``__slots__``, set once (:meth:`_fill`), compared
     within one class, hashed together (not when one is a dict) and shown by ``repr``.
 
-    A one-field class also names its slot's setter ``_set`` (``Cls._set =
-    Cls.field.__set__``), through which :meth:`_trusted` builds it."""
+    A class whose own ``__slots__`` holds one field gets that slot's setter
+    as ``_set``, through which :meth:`_trusted` builds it."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__.get("__slots__", ())
+        if len(own) == 1:
+            cls._set = getattr(cls, own[0]).__set__
 
     @classmethod
     def _trusted(cls, value: object) -> Frozen:
@@ -284,7 +289,6 @@ def _coerce(value: object) -> QPoly:
     return NotImplemented
 
 
-QPoly._set = QPoly.coeffs.__set__
 ZERO = QPoly()
 ONE = QPoly((1,))
 

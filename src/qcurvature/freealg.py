@@ -226,14 +226,11 @@ class OperatorPoly(_SparseSum):
 
     def __str__(self) -> str:
         terms = (
-            (_operator_word(word, dpow), coeff.compact())
+            (_operator_word(word, dpow), TEXT.coeff(coeff))
             for dpow, block in self._terms.items()
             for word, coeff in block.items()
         )
         return "".join(_sum_pieces(terms, TEXT.sep))
-
-
-OperatorPoly._set = OperatorPoly._terms.__set__
 
 
 def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
@@ -360,7 +357,7 @@ class ElementPoly(_SparseSum):
         return ElementPoly._trusted({word: coeff for word, coeff in reduced if coeff.coeffs})
 
     def __str__(self) -> str:
-        terms = ((TEXT.render(word), coeff.compact()) for word, coeff in self._terms.items())
+        terms = ((TEXT.render(word), TEXT.coeff(coeff)) for word, coeff in self._terms.items())
         return "".join(_sum_pieces(terms, TEXT.sep))
 
     def latex(self) -> str:
@@ -369,11 +366,8 @@ class ElementPoly(_SparseSum):
         >>> ElementPoly({Comp((1,)): QPoly((1, 1)), Comp((0, 0)): ONE}).latex()
         '(1+q)d_M(a) + a^{2}'
         """
-        terms = ((LATEX.render(word), coeff.latex()) for word, coeff in self._terms.items())
+        terms = ((LATEX.render(word), LATEX.coeff(coeff)) for word, coeff in self._terms.items())
         return "".join(_sum_pieces(terms, LATEX.sep))
-
-
-ElementPoly._set = ElementPoly._terms.__set__
 
 
 def q_derivative(p: ElementPoly) -> ElementPoly:

@@ -127,16 +127,17 @@ class Comp(Frozen):
         return f"Comp({self.entries!r})"
 
 
-Comp._set = Comp.entries.__set__
 EMPTY = Comp(())
 
 
 class Entries:
-    """Builds a word as its entries tuple, from its last entry backwards.
+    """Builds a word as its entries tuple, from its last entry backwards,
+    and keeps each coefficient a :class:`QPoly`.
 
     The protocol of a word builder, shared with :class:`WordStyle`: start
     from ``empty``, ``prepend`` entries right to left, ``finish`` the word;
-    ``render`` builds a whole word from its entries at once.
+    ``render`` builds a whole word from its entries at once, and ``coeff``
+    renders a coefficient.
     """
 
     empty: tuple[int, ...] = ()
@@ -149,7 +150,7 @@ class Entries:
     def finish(suffix: tuple[int, ...]) -> tuple[int, ...]:
         return suffix
 
-    render = finish  # a whole word's entries are already the word
+    render = coeff = finish  # a word's entries are the word; a coefficient stays a QPoly
 
 
 def _text_run(j: int, count: int) -> str:
@@ -165,8 +166,9 @@ def _latex_run(j: int, count: int) -> str:
 
 
 class WordStyle(Frozen):
-    """A format for words: ``run(j, count)`` renders the factor e_j^count,
-    and ``sep`` joins the factors of a word; the empty word is ``1``.
+    """An output format for terms: ``run(j, count)`` renders the factor
+    e_j^count, ``sep`` joins the factors of a word (the empty word is ``1``)
+    and ``coeff`` renders a coefficient.
 
     A word builder (see :class:`Entries`): a suffix is held as its first
     entry, that entry's run length and the rendered runs after it, each
@@ -176,11 +178,11 @@ class WordStyle(Frozen):
     :meth:`Comp.latex`, takes the same steps.
     """
 
-    __slots__ = ("run", "sep")
+    __slots__ = ("run", "sep", "coeff")
     empty = (-1, 0, "")
 
-    def __init__(self, run: Callable[[int, int], str], sep: str):
-        self._fill(run, sep)
+    def __init__(self, run: Callable[[int, int], str], sep: str, coeff: Callable[[QPoly], str]):
+        self._fill(run, sep, coeff)
 
     def prepend(self, entry: int, suffix: tuple[int, int, str]) -> tuple[int, int, str]:
         head, count, rest = suffix
@@ -199,8 +201,8 @@ class WordStyle(Frozen):
         return self.finish(suffix)
 
 
-TEXT = WordStyle(_text_run, "*")
-LATEX = WordStyle(_latex_run, "")
+TEXT = WordStyle(_text_run, "*", QPoly.compact)
+LATEX = WordStyle(_latex_run, "", QPoly.latex)
 
 
 class WeightRule(str, Enum):

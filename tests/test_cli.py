@@ -14,6 +14,7 @@ from qcurvature.cli import run
 from qcurvature.curvature import (
     CurvatureExpansion,
     expansion_terms,
+    generic_expansion,
     path_expansion,
     resolve_default_rule,
     root_of_unity_expansion,
@@ -97,6 +98,20 @@ class TestCurvatureCommand:
         rebuilt = CurvatureExpansion.from_json_dict(data)
         for k in rebuilt.powers():
             assert str(rebuilt.coefficient(k)) == text_lines[f"c[{k}]"]
+
+    @pytest.mark.parametrize("rule", ["prefix", "literal"])
+    @pytest.mark.parametrize("mode", ["generic", "root"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_json_bytes_are_the_expansion_json_dict(self, capsys, n, mode, rule):
+        # the CLI lists each QPoly as it writes; to_json_dict lists them
+        # itself: both must give the same bytes
+        weight_rule = WeightRule(rule)
+        expand = generic_expansion if mode == "generic" else root_of_unity_expansion
+        expected = json.dumps(expand(n, weight_rule).to_json_dict(), indent=2, ensure_ascii=False)
+        argv = ("curvature", "--n", str(n), "--mode", mode, "--format", "json", "--rule", rule)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == expected + "\n"
 
     def test_byte_identical_repeated_runs(self, capsys):
         first = invoke(capsys, "curvature", "--n", "4", "--format", "json")

@@ -144,6 +144,19 @@ class TestProductionRoutes:
         late = [(k, list(terms)) for k, terms in list(stream())]
         assert late == [(k, list(terms)) for k, terms in stream()]
 
+    @pytest.mark.parametrize("style, coeff", [(TEXT, QPoly.compact), (LATEX, QPoly.latex)],
+                             ids=["text", "latex"])
+    @pytest.mark.parametrize("mode", [curvature.GENERIC, curvature.ROOT])
+    @pytest.mark.parametrize("rule", [PREFIX, LITERAL], ids=str)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_style_renders_words_and_coefficients_of_the_entries_stream(self, n, rule, mode, style, coeff):
+        # one style names the whole format: its stream is the Entries stream,
+        # each word rendered by the style and each QPoly coefficient as well
+        entries = curvature.expansion_terms(n, mode, rule, Entries)
+        expected = [(k, [(style.render(s), coeff(c)) for s, c in terms]) for k, terms in entries]
+        styled = curvature.expansion_terms(n, mode, rule, style)
+        assert [(k, list(terms)) for k, terms in styled] == expected
+
 
 def closed_form(word):
     """The product formula for the coefficient of ``word`` in M(n), over QPoly."""

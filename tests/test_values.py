@@ -209,16 +209,17 @@ def test_trusted_constructors_make_the_checked_value(name):
 
 @pytest.mark.parametrize("style", [TEXT, LATEX], ids=["TEXT", "LATEX"])
 def test_word_styles_refuse_assignment(style):
-    # the module-wide styles render every word: none can be changed in place
-    before = (style.run, style.sep)
-    for field in ("run", "sep", "unknown_field"):
+    # the module-wide styles render every word and coefficient: none can be changed in place
+    before = (style.run, style.sep, style.coeff)
+    for field in ("run", "sep", "coeff", "unknown_field"):
         with pytest.raises(AttributeError):
             setattr(style, field, "+")
-    for field in ("run", "sep"):
+    for field in ("run", "sep", "coeff"):
         with pytest.raises(AttributeError):
             delattr(style, field)
-    assert (style.run, style.sep) == before
+    assert (style.run, style.sep, style.coeff) == before
     assert (Comp((0, 1)).text(), Comp((0, 1)).latex()) == ("a*d(a)", "ad_M(a)")
+    assert (TEXT.coeff(QPoly((1, 0, 2))), LATEX.coeff(QPoly((1, 0, 2)))) == ("1+2*q^2", "1+2q^{2}")
 
 
 class TestConstruction:
