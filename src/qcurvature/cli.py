@@ -4,10 +4,9 @@ Subcommands: ``curvature`` (full expansion), ``cq`` (one path sum),
 ``binom`` (Gaussian binomial), ``infinitesimal`` (first-order
 coefficients), ``verify`` (cross-validation suite).  Output formats:
 text, latex, json; every ``curvature`` format makes one call of
-``curvature.expansion_terms`` with the style it names (``TEXT``, ``LATEX``,
-or ``Entries`` for JSON), which renders both words and coefficients: text
-and LaTeX are written term by term as they are computed, JSON gathers the
-QPolys as they come and lists them as it is written at the end.
+``curvature.expansion_terms`` with the builder it names: the styles ``TEXT``
+and ``LATEX`` head, render and join each sum as it is computed, and
+``JsonEntries`` gathers coefficient lists, written at the end.
 ``cq``, ``binom`` and ``infinitesimal`` share one writer
 (:func:`_write_polys`), which reduces their values at the root in ``--mode
 root`` and writes them in each format.  Exit codes: 0 success, 1
@@ -30,8 +29,7 @@ from .curvature import (
     verify_suite,
 )
 from .cyclo import CycloModulus, QPoly, coeffs_list, q_binomial
-from .freealg import _sum_pieces
-from .paths import LATEX, TEXT, Comp, Entries, WeightRule, path_sum_dp, path_sum_enum
+from .paths import LATEX, TEXT, Comp, JsonEntries, WeightRule, path_sum_dp, path_sum_enum
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
@@ -109,10 +107,10 @@ def _resolve_rule(args: argparse.Namespace) -> WeightRule:
 
 
 def _emit_json(payload: dict) -> None:
-    """Write ``payload`` as JSON, each :class:`QPoly` in it as its coefficient list."""
+    """Write ``payload``, which holds only JSON values (coefficients as lists), as JSON."""
     import json  # here, not at the top: only JSON output pays for loading it
 
-    print(json.dumps(payload, indent=2, ensure_ascii=False, default=coeffs_list))
+    print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
 def _require(condition: bool, parser_message: str) -> None:
@@ -146,18 +144,15 @@ def _write_polys(
 def _run_curvature(args: argparse.Namespace) -> int:
     _require(args.mode != "root" or args.n >= 2, "curvature --mode root needs --n >= 2")
     rule = _resolve_rule(args)
-    style = {"text": TEXT, "latex": LATEX, "json": Entries}[args.format]
+    style = {"text": TEXT, "latex": LATEX, "json": JsonEntries}[args.format]
     blocks = expansion_terms(args.n, args.mode, rule, style)
-    if style is Entries:
+    if style is JsonEntries:
         _emit_json(expansion_json(args.n, args.mode, rule, blocks))
         return 0
-    # text and LaTeX are written term by term: c[k] = ... (c_{k} = ... in LaTeX)
-    head = "c_{{{}}} = " if style is LATEX else "c[{}] = "
-    write = sys.stdout.write
-    for k, terms in blocks:
-        write(head.format(k))
-        sys.stdout.writelines(_sum_pieces(terms, style.sep))
-        write("\n")
+    for k, terms in blocks:  # text and LaTeX are written term by term
+        sys.stdout.write(style.head.format(k))
+        sys.stdout.writelines(style.pieces(terms))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -17,9 +17,9 @@ the one place where a rule picks its route: the arbitrated rule reads that strea
 and any other rule, which the power formula does not cover, reads the path
 model's stream (:func:`_path_terms`) in the same (k, terms) shape.  The
 library's expansions (:func:`generic_expansion`, :func:`root_of_unity_expansion`)
-and every CLI format read that one stream, through the word style that
-renders both words and coefficients (``TEXT``, ``LATEX``, or :class:`Entries`,
-which keeps entries and QPolys).  The path model under the
+and every CLI format read that one stream, through a builder that renders
+words and coefficients: the style ``TEXT`` or ``LATEX``, :class:`JsonEntries`
+(lists) or :class:`Entries` (entries and QPolys).  The path model under the
 arbitrated rule (gathered by :func:`path_expansion`, :func:`path_root_expansion`)
 and the operator expansion are oracles; verify reads each as a stream, never a
 cache.  M(k), the element the recursion M(k+1) = dM(k) + a*M(k) defines, is
@@ -181,9 +181,9 @@ class CurvatureExpansion(Frozen):
 
 
 def expansion_json(n: int, mode: str, rule: WeightRule, blocks: Blocks) -> dict:
-    """The JSON form of an expansion from its blocks, words as entries; a power
-    with no terms is left out.  Coefficients are kept as they arrive: lists,
-    or QPolys, which ``cli._emit_json`` lists as it writes them."""
+    """The JSON form of an expansion from its blocks, words as entries and
+    coefficients as lists; a power with no terms is left out.  Each list is
+    kept as it arrives, so a list that several terms share stays shared."""
     c = []
     for k, terms in blocks:
         listed = [{"s": list(s), "coeff": coeff} for s, coeff in terms]
@@ -695,10 +695,8 @@ class VerifyReport(Frozen):
         if self.four_step_mismatches:
             lines.append("four-step reference listing disagreements (stated vs computed):")
             for m in self.four_step_mismatches:
-                s = ",".join(str(x) for x in m.s) or "∅"
-                stated = poly_from_coeffs(m.stated)
-                computed = poly_from_coeffs(m.computed)
-                lines.append(f"  s={s}: stated {stated}  computed {computed}")
+                stated, computed = poly_from_coeffs(m.stated), poly_from_coeffs(m.computed)
+                lines.append(f"  s={Comp._trusted(m.s)}: stated {stated}  computed {computed}")
         else:
             lines.append("four-step reference listing: no disagreements")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")

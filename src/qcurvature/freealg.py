@@ -31,10 +31,10 @@ tuples: an :class:`ElementPoly` is one block, a dict from word to
 coefficient in canonical word order, and an :class:`OperatorPoly` is a dict
 of such blocks by power of d, dpow descending.  The oracles gather each
 streamed block with one ``dict``; the general constructor, which the general
-product and the other operations build through, sorts once.  A
-:class:`Comp` is made only at the public edge: ``terms()`` and ``items()``
-hand words out as Comps, and the constructors and ``coefficient()`` take
-them and check them.
+product and the other operations build through, sorts once.  A :class:`Comp`
+is made only at the public edge: ``terms()`` and ``items()`` hand words out
+as Comps, and the constructors and ``coefficient()`` take and check them.
+A sum is written as the CLI writes one, by the ``TEXT`` or ``LATEX`` style.
 """
 
 from __future__ import annotations
@@ -230,28 +230,7 @@ class OperatorPoly(_SparseSum):
             for dpow, block in self._terms.items()
             for word, coeff in block.items()
         )
-        return "".join(_sum_pieces(terms, TEXT.sep))
-
-
-def _sum_pieces(terms: Iterable[tuple[str, str]], times: str) -> Iterator[str]:
-    """A sum of rendered (word, coefficient) terms, piece by piece; "0" for none.
-
-    Each term is the coefficient ``times`` the word (a compound coefficient
-    in parentheses, a coefficient 1 dropped, the empty word "1" leaving a
-    bare coefficient), behind " + " from the second on.
-    """
-    sep = ""
-    for word, coeff in terms:
-        if word == "1":
-            term = coeff
-        elif coeff == "1":
-            term = word
-        else:
-            term = (f"({coeff})" if "+" in coeff or "-" in coeff else coeff) + times + word
-        yield sep + term
-        sep = " + "
-    if not sep:
-        yield "0"
+        return "".join(TEXT.pieces(terms))
 
 
 def _operator_word(word: tuple[int, ...], dpow: int) -> str:
@@ -358,7 +337,7 @@ class ElementPoly(_SparseSum):
 
     def __str__(self) -> str:
         terms = ((TEXT.render(word), TEXT.coeff(coeff)) for word, coeff in self._terms.items())
-        return "".join(_sum_pieces(terms, TEXT.sep))
+        return "".join(TEXT.pieces(terms))
 
     def latex(self) -> str:
         """The element in LaTeX, summands in canonical word order.
@@ -367,7 +346,7 @@ class ElementPoly(_SparseSum):
         '(1+q)d_M(a) + a^{2}'
         """
         terms = ((LATEX.render(word), LATEX.coeff(coeff)) for word, coeff in self._terms.items())
-        return "".join(_sum_pieces(terms, LATEX.sep))
+        return "".join(LATEX.pieces(terms))
 
 
 def q_derivative(p: ElementPoly) -> ElementPoly:

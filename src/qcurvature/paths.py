@@ -27,13 +27,13 @@ __all__ = [
 ]
 
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .cyclo import ONE, ZERO, Frozen, QPoly, int_tuple
+from .cyclo import ONE, ZERO, Frozen, QPoly, coeffs_list, int_tuple
 
 
 def _word_order(entries: tuple[int, ...]) -> tuple:
@@ -134,10 +134,10 @@ class Entries:
     """Builds a word as its entries tuple, from its last entry backwards,
     and keeps each coefficient a :class:`QPoly`.
 
-    The protocol of a word builder, shared with :class:`WordStyle`: start
-    from ``empty``, ``prepend`` entries right to left, ``finish`` the word;
-    ``render`` builds a whole word from its entries at once, and ``coeff``
-    renders a coefficient.
+    The protocol of a word builder, shared with :class:`JsonEntries` and
+    :class:`WordStyle`: start from ``empty``, ``prepend`` entries right to
+    left, ``finish`` the word; ``render`` builds a whole word from its entries
+    at once, and ``coeff`` renders a coefficient.
     """
 
     empty: tuple[int, ...] = ()
@@ -153,6 +153,11 @@ class Entries:
     render = coeff = finish  # a word's entries are the word; a coefficient stays a QPoly
 
 
+class JsonEntries(Entries):
+    """The JSON builder: :class:`Entries` with each coefficient its list (:func:`coeffs_list`)."""
+    coeff = staticmethod(coeffs_list)
+
+
 def _text_run(j: int, count: int) -> str:
     base = "a" if j == 0 else ("d(a)" if j == 1 else f"d^{j}(a)")
     return base if count == 1 else f"{base}^{count}"
@@ -166,9 +171,9 @@ def _latex_run(j: int, count: int) -> str:
 
 
 class WordStyle(Frozen):
-    """An output format for terms: ``run(j, count)`` renders the factor
-    e_j^count, ``sep`` joins the factors of a word (the empty word is ``1``)
-    and ``coeff`` renders a coefficient.
+    """A streamed output format: ``run(j, count)`` renders the factor e_j^count,
+    ``sep`` joins the factors of a word (the empty word is ``1``), ``coeff``
+    renders a coefficient, :meth:`pieces` a sum and ``head.format(k)`` its heading.
 
     A word builder (see :class:`Entries`): a suffix is held as its first
     entry, that entry's run length and the rendered runs after it, each
@@ -178,11 +183,11 @@ class WordStyle(Frozen):
     :meth:`Comp.latex`, takes the same steps.
     """
 
-    __slots__ = ("run", "sep", "coeff")
+    __slots__ = ("run", "sep", "coeff", "head")
     empty = (-1, 0, "")
 
-    def __init__(self, run: Callable[[int, int], str], sep: str, coeff: Callable[[QPoly], str]):
-        self._fill(run, sep, coeff)
+    def __init__(self, run: Callable[[int, int], str], sep: str, coeff: Callable[[QPoly], str], head: str):
+        self._fill(run, sep, coeff, head)
 
     def prepend(self, entry: int, suffix: tuple[int, int, str]) -> tuple[int, int, str]:
         head, count, rest = suffix
@@ -200,9 +205,32 @@ class WordStyle(Frozen):
             suffix = self.prepend(entry, suffix)
         return self.finish(suffix)
 
+    def pieces(self, terms: Iterable[tuple[str, str]]) -> Iterator[str]:
+        """A sum of rendered (word, coefficient) terms, piece by piece; "0" for none.
 
-TEXT = WordStyle(_text_run, "*", QPoly.compact)
-LATEX = WordStyle(_latex_run, "", QPoly.latex)
+        Each term is the coefficient ``sep`` the word (a compound coefficient
+        in parentheses, a coefficient 1 dropped, the empty word "1" leaving a
+        bare coefficient), behind " + " from the second on.
+
+        >>> "".join(TEXT.pieces([("a", "1+q"), ("d(a)", "1"), ("1", "q")]))
+        '(1+q)*a + d(a) + q'
+        """
+        sep = ""
+        for word, coeff in terms:
+            if word == "1":
+                term = coeff
+            elif coeff == "1":
+                term = word
+            else:
+                term = (f"({coeff})" if "+" in coeff or "-" in coeff else coeff) + self.sep + word
+            yield sep + term
+            sep = " + "
+        if not sep:
+            yield "0"
+
+
+TEXT = WordStyle(_text_run, "*", QPoly.compact, "c[{}] = ")
+LATEX = WordStyle(_latex_run, "", QPoly.latex, "c_{{{}}} = ")
 
 
 class WeightRule(str, Enum):

@@ -27,14 +27,14 @@ from qcurvature.curvature import (
     verify_suite,
 )
 from qcurvature.cli import run
-from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly, q_binomial
+from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly, coeffs_list, q_binomial
 from qcurvature.freealg import (
     ElementPoly,
     OperatorPoly,
     deformed_power,
     maurer_cartan_element,
 )
-from qcurvature.paths import LATEX, TEXT, Comp, Entries, WeightRule, forward_tables
+from qcurvature.paths import LATEX, TEXT, Comp, Entries, JsonEntries, WeightRule, forward_tables
 
 PREFIX = WeightRule.PREFIX
 LITERAL = WeightRule.LITERAL
@@ -144,8 +144,11 @@ class TestProductionRoutes:
         late = [(k, list(terms)) for k, terms in list(stream())]
         assert late == [(k, list(terms)) for k, terms in stream()]
 
-    @pytest.mark.parametrize("style, coeff", [(TEXT, QPoly.compact), (LATEX, QPoly.latex)],
-                             ids=["text", "latex"])
+    @pytest.mark.parametrize(
+        "style, coeff",
+        [(TEXT, QPoly.compact), (LATEX, QPoly.latex), (JsonEntries, coeffs_list)],
+        ids=["text", "latex", "json"],
+    )
     @pytest.mark.parametrize("mode", [curvature.GENERIC, curvature.ROOT])
     @pytest.mark.parametrize("rule", [PREFIX, LITERAL], ids=str)
     @pytest.mark.parametrize("n", range(2, 9))
@@ -156,6 +159,24 @@ class TestProductionRoutes:
         expected = [(k, [(style.render(s), coeff(c)) for s, c in terms]) for k, terms in entries]
         styled = curvature.expansion_terms(n, mode, rule, style)
         assert [(k, list(terms)) for k, terms in styled] == expected
+
+    @pytest.mark.parametrize("mode", [curvature.GENERIC, curvature.ROOT])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_json_lists_each_packed_coefficient_once(self, n, mode):
+        # the production walk renders each distinct packed coefficient once, so
+        # two terms of a block share one list exactly when they share that
+        # coefficient: M(n - k)[s] in generic mode, where scaling by
+        # [n choose k]_q is injective and so equal lists are one list, and
+        # M(n)[s] folded modulo q^n - 1 at the root, where distinct folds may
+        # still reduce to equal lists (from n = 8 on)
+        def packed(word):
+            value = closed_form(word).coeffs
+            return value if mode == curvature.GENERIC else tuple(sum(value[i::n]) for i in range(n))
+
+        for k, terms in curvature.expansion_terms(n, mode, resolve_default_rule(), JsonEntries):
+            terms = list(terms)
+            for (s, c), (t, d) in product(terms, repeat=2):
+                assert (c is d) == (packed(s) == packed(t)), (k, s, t)
 
 
 def closed_form(word):

@@ -7,6 +7,8 @@ from qcurvature import curvature, paths
 from qcurvature.cyclo import ONE, ZERO, QPoly
 from qcurvature.paths import (
     EMPTY,
+    LATEX,
+    TEXT,
     Comp,
     WeightRule,
     enumerate_vertices,
@@ -80,6 +82,37 @@ class TestComp:
         assert Comp((0, 0, 0)).latex() == "a^{3}"
         assert Comp((1, 1)).latex() == "(d_M(a))^{2}"
         assert Comp((2,)).latex() == "d_M^{2}(a)"
+
+
+class TestSumPieces:
+    """A style's sum of rendered (word, coefficient) terms."""
+
+    @pytest.mark.parametrize("style", [TEXT, LATEX], ids=["text", "latex"])
+    def test_no_terms_is_zero(self, style):
+        assert list(style.pieces([])) == ["0"]
+
+    @pytest.mark.parametrize(
+        "style, term, shown",
+        [
+            (TEXT, ("1", "1+q"), "1+q"),  # the empty word leaves a bare coefficient
+            (TEXT, ("1", "1"), "1"),
+            (TEXT, ("a", "1"), "a"),  # a coefficient 1 is dropped
+            (LATEX, ("a^{2}", "1"), "a^{2}"),
+            (TEXT, ("a", "2"), "2*a"),
+            (LATEX, ("a", "2"), "2a"),
+            (TEXT, ("a", "1+q"), "(1+q)*a"),  # a compound or negative coefficient in parentheses
+            (LATEX, ("a", "1+q"), "(1+q)a"),
+            (TEXT, ("d(a)", "-1"), "(-1)*d(a)"),
+            (LATEX, ("d_M(a)", "-q^{2}"), "(-q^{2})d_M(a)"),
+        ],
+    )
+    def test_one_term(self, style, term, shown):
+        assert list(style.pieces([term])) == [shown]
+
+    def test_terms_after_the_first_are_joined_with_plus(self):
+        terms = [("d(a)", "1"), ("a", "q"), ("1", "1+q")]
+        assert list(TEXT.pieces(terms)) == ["d(a)", " + q*a", " + 1+q"]
+        assert list(LATEX.pieces(iter(terms))) == ["d(a)", " + qa", " + 1+q"]
 
 
 class TestSuccessors:

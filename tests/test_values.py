@@ -210,16 +210,17 @@ def test_trusted_constructors_make_the_checked_value(name):
 @pytest.mark.parametrize("style", [TEXT, LATEX], ids=["TEXT", "LATEX"])
 def test_word_styles_refuse_assignment(style):
     # the module-wide styles render every word and coefficient: none can be changed in place
-    before = (style.run, style.sep, style.coeff)
-    for field in ("run", "sep", "coeff", "unknown_field"):
+    before = (style.run, style.sep, style.coeff, style.head)
+    for field in ("run", "sep", "coeff", "head", "unknown_field"):
         with pytest.raises(AttributeError):
             setattr(style, field, "+")
-    for field in ("run", "sep", "coeff"):
+    for field in ("run", "sep", "coeff", "head"):
         with pytest.raises(AttributeError):
             delattr(style, field)
-    assert (style.run, style.sep, style.coeff) == before
+    assert (style.run, style.sep, style.coeff, style.head) == before
     assert (Comp((0, 1)).text(), Comp((0, 1)).latex()) == ("a*d(a)", "ad_M(a)")
     assert (TEXT.coeff(QPoly((1, 0, 2))), LATEX.coeff(QPoly((1, 0, 2)))) == ("1+2*q^2", "1+2q^{2}")
+    assert (TEXT.head.format(3), LATEX.head.format(3)) == ("c[3] = ", "c_{3} = ")
 
 
 class TestConstruction:
