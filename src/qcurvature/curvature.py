@@ -107,9 +107,6 @@ class CurvatureExpansion(Frozen):
 
     __slots__ = ("n", "mode", "rule", "c")
 
-    def __init__(self, n: int, mode: str, rule: WeightRule, c: dict[int, ElementPoly]):
-        self._fill(n, mode, rule, c)
-
     def coefficient(self, k: int) -> ElementPoly:
         return self.c.get(k, ElementPoly.zero())
 
@@ -447,9 +444,6 @@ class InfinitesimalCoefficients(Frozen):
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: tuple[QPoly, ...]):
-        self._fill(n, coeffs)
-
     def reduced(self, modulus: CycloModulus) -> InfinitesimalCoefficients:
         return InfinitesimalCoefficients(
             self.n, tuple(modulus.reduce(c) for c in self.coeffs)
@@ -511,10 +505,6 @@ class CompositionSumComparison(Frozen):
     """One reading of the closed composition-sum formula, checked per entry."""
 
     __slots__ = ("n", "convention", "values", "reference", "matches")
-
-    def __init__(self, n: int, convention: str, values: tuple[QPoly, ...],
-                 reference: tuple[QPoly, ...], matches: tuple[bool, ...]):
-        self._fill(n, convention, values, reference, matches)
 
 
 def infinitesimal_composition_sum(
@@ -642,9 +632,6 @@ class CheckResult(Frozen):
 class ListingMismatch(Frozen):
     __slots__ = ("s", "stated", "computed")
 
-    def __init__(self, s: tuple[int, ...], stated: tuple[int, ...], computed: tuple[int, ...]):
-        self._fill(s, stated, computed)
-
     def to_json_dict(self) -> dict:
         return {
             "s": list(self.s),
@@ -656,13 +643,6 @@ class ListingMismatch(Frozen):
 class VerifyReport(Frozen):
     __slots__ = ("n_max", "requested_rule", "selected_rule", "checks", "arbitration",
                  "four_step_mismatches", "three_step_display", "passed")
-
-    def __init__(self, n_max: int, requested_rule: str, selected_rule: str,
-                 checks: tuple[CheckResult, ...], arbitration: dict,
-                 four_step_mismatches: tuple[ListingMismatch, ...],
-                 three_step_display: dict, passed: bool):
-        self._fill(n_max, requested_rule, selected_rule, checks, arbitration,
-                   four_step_mismatches, three_step_display, passed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,34 +31,44 @@ from operator import add
 
 
 class Frozen:
-    """Immutable value whose fields are ``__slots__``, set once (:meth:`_fill`), compared
-    within one class, hashed together (not when one is a dict) and shown by ``repr``.
+    """Immutable value whose fields are ``__slots__``, set once, compared within
+    one class, hashed together (not when one is a dict) and shown by ``repr``.
 
-    A class whose own ``__slots__`` holds one field gets that slot's setter
-    as ``_set``, through which :meth:`_trusted` builds it."""
+    A value takes its fields in slot order, any that follow by name, and each
+    is set through ``_setters``, its class's slot setters in order.  A class
+    writes an ``__init__`` only to check, derive or default a field."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         own = cls.__dict__.get("__slots__", ())
-        if len(own) == 1:
-            cls._set = getattr(cls, own[0]).__set__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in own)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        setters = self._setters
+        if named or len(values) != len(setters):  # else the fast path: every field by position
+            slots = self.__slots__
+            rest = slots[len(values):]
+            if len(values) > len(slots) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes its fields ({', '.join(slots)}) in "
+                                f"this order, any that follow by name; got {len(values)} by "
+                                f"position and ({', '.join(named)}) by name")
+            values += tuple(named[name] for name in rest)
+        for setter, value in zip(setters, values):
+            setter(self, value)  # the slot's descriptor, past __setattr__
+
+    _fill = __init__  # how a checking __init__, and __setstate__, set the fields
 
     @classmethod
     def _trusted(cls, value: object) -> Frozen:
-        """The one-field value holding ``value`` as it is: no check, no copy.
+        """The one-field value holding ``value`` as it is (``_setters[0]``): no check, no copy.
 
         Internal constructor: the caller guarantees that ``value`` is already
         in the form the checking constructor would make.
         """
         made = object.__new__(cls)
-        cls._set(made, value)  # the slot's descriptor, past __setattr__
+        cls._setters[0](made, value)  # the slot's descriptor, past __setattr__
         return made
-
-    def _fill(self, *values: object) -> None:
-        cls = type(self)
-        for name, value in zip(self.__slots__, values):
-            getattr(cls, name).__set__(self, value)  # the slot's descriptor, past __setattr__
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -99,7 +109,7 @@ class QPoly(Frozen):
         c = int_tuple(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        QPoly._set(self, c)
+        self._fill(c)
 
     def __eq__(self, other: object) -> bool:
         return self.coeffs == other.coeffs if type(other) is type(self) else NotImplemented

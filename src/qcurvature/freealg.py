@@ -69,15 +69,6 @@ class Term(Frozen):
 
     __slots__ = ("coeff", "mono", "dpow")
 
-    def __init__(self, coeff: QPoly, mono: Comp, dpow: int):
-        # what _fill does, unrolled: terms() makes one Term per summand
-        _set_coeff(self, coeff)
-        _set_mono(self, mono)
-        _set_dpow(self, dpow)
-
-
-_set_coeff, _set_mono, _set_dpow = (getattr(Term, name).__set__ for name in Term.__slots__)
-
 
 def _word(mono: Comp) -> tuple[int, ...]:
     """The entries of ``mono``, checked to be a :class:`Comp`, the one public word
@@ -159,7 +150,7 @@ class OperatorPoly(_SparseSum):
         blocks: dict[int, dict] = {}
         for (mono, dpow), coeff in (terms or {}).items():
             blocks.setdefault(_power(dpow), {})[_word(mono)] = _coefficient(coeff)
-        OperatorPoly._set(self, _by_power(blocks))
+        self._fill(_by_power(blocks))
 
     # -- constructors --------------------------------------------------
 
@@ -307,7 +298,7 @@ class ElementPoly(_SparseSum):
 
     def __init__(self, terms: dict[Comp, QPoly] | None = None):
         checked = {_word(mono): _coefficient(coeff) for mono, coeff in (terms or {}).items()}
-        ElementPoly._set(self, _canonical(checked))
+        self._fill(_canonical(checked))
 
     @classmethod
     def zero(cls) -> ElementPoly:

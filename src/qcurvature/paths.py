@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -63,7 +63,7 @@ class Comp(Frozen):
         e = int_tuple(entries)
         if any(x < 0 for x in e):
             raise ValueError("entries must be nonnegative")
-        Comp._set(self, e)
+        self._fill(e)
 
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if type(other) is type(self) else NotImplemented
@@ -127,9 +127,6 @@ class Comp(Frozen):
         return f"Comp({self.entries!r})"
 
 
-EMPTY = Comp(())
-
-
 class Entries:
     """Builds a word as its entries tuple, from its last entry backwards,
     and keeps each coefficient a :class:`QPoly`.
@@ -185,9 +182,6 @@ class WordStyle(Frozen):
 
     __slots__ = ("run", "sep", "coeff", "head")
     empty = (-1, 0, "")
-
-    def __init__(self, run: Callable[[int, int], str], sep: str, coeff: Callable[[QPoly], str], head: str):
-        self._fill(run, sep, coeff, head)
 
     def prepend(self, entry: int, suffix: tuple[int, int, str]) -> tuple[int, int, str]:
         head, count, rest = suffix

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from qcurvature import curvature, paths
 from qcurvature.cyclo import ONE, ZERO, QPoly
 from qcurvature.paths import (
-    EMPTY,
     LATEX,
     TEXT,
     Comp,
@@ -18,6 +17,7 @@ from qcurvature.paths import (
     successors,
 )
 
+EMPTY = Comp(())
 comps = st.lists(st.integers(0, 4), max_size=4).map(tuple).map(Comp)
 
 

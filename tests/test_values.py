@@ -4,11 +4,13 @@ Equality is field by field and exact by class, equal values hash equally
 (a value holding a dict is unhashable), fields cannot be reassigned or
 deleted, constructors take their fields positionally or by keyword, and
 ``repr`` shows the fields (``QPoly``, ``Comp`` and the two sums render
-themselves).
+themselves).  A value's fields are written once, in its ``__slots__``.
 """
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from qcurvature.curvature import (
 )
 from qcurvature.cyclo import ONE, ZERO, CycloModulus, QPoly
 from qcurvature.freealg import ElementPoly, OperatorPoly, Term
-from qcurvature.paths import LATEX, TEXT, Comp, Edge, WeightRule
+from qcurvature.paths import LATEX, TEXT, Comp, Edge, WeightRule, WordStyle
 
 PREFIX = WeightRule.PREFIX
 
@@ -85,6 +87,11 @@ VALUES = {
         "arbitration={'passing': 'prefix'}, four_step_mismatches=(), three_step_display={}, "
         "passed=True)",
         False, "arbitration",
+    ),
+    "WordStyle": (
+        lambda: WordStyle(TEXT.run, "*", TEXT.coeff, "c[{}] = "), LATEX,
+        "WordStyle(run=%r, sep='*', coeff=%r, head='c[{}] = ')" % (TEXT.run, TEXT.coeff),
+        True, "head",
     ),
 }
 
@@ -249,6 +256,8 @@ class TestConstruction:
             arbitration={}, four_step_mismatches=(), three_step_display={}, passed=True,
         )
         assert report == VerifyReport(2, "default", "prefix", (), {}, (), {}, True)
+        style = WordStyle(run=TEXT.run, sep="*", coeff=TEXT.coeff, head="c[{}] = ")
+        assert style == WordStyle(TEXT.run, "*", TEXT.coeff, "c[{}] = ") == TEXT
 
     def test_wrong_arguments_are_refused(self):
         with pytest.raises(TypeError):
@@ -257,6 +266,21 @@ class TestConstruction:
             Edge(Comp(()), Comp(()), ONE, "stay", 1, 2)
         with pytest.raises(TypeError):
             Term(ONE, Comp(()), dpow=0, power=1)
+        # the values that take their fields as Frozen does, in slot order or by name
+        for cls in (CurvatureExpansion, InfinitesimalCoefficients, CompositionSumComparison,
+                    ListingMismatch, VerifyReport, WordStyle, Term):
+            fields = cls.__slots__
+            value = VALUES[cls.__name__][0]()
+            values = tuple(getattr(value, field) for field in fields)
+            assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == value
+            for args, named in (
+                (values[:-1], {}),  # too few
+                (values + (None,), {}),  # too many
+                (values[:-1], {"unknown": values[-1]}),  # an unknown name
+                (values, {fields[0]: values[0]}),  # a field by position and by name
+            ):
+                with pytest.raises(TypeError, match=", ".join(fields)):
+                    cls(*args, **named)
 
     def test_cyclo_modulus_derives_phi_and_needs_n_two(self):
         modulus = CycloModulus(n=6)
@@ -284,3 +308,81 @@ class TestConstruction:
         for bad in ((1.5,), (False,)):
             with pytest.raises(TypeError):
                 Comp(bad)
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qcurvature").glob("*.py"))
+
+
+def fields_spelled_twice(sources):
+    """Where a value's fields are written again beside its ``__slots__``.
+
+    Each ``__init__`` of a :class:`Frozen` subclass that has no defaults and
+    only hands its parameters, in order, to ``self._fill``, which is what
+    ``Frozen.__init__`` does itself, and each module-level name bound to a
+    slot's ``__set__``, which ``Frozen`` records as ``_setters``.  ``sources``
+    maps a module name to its source.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def frozen(name):
+        return name == "Frozen" or any(frozen(base) for base in bases.get(name, ()))
+
+    def forwards(init):
+        args = init.args
+        params = [arg.arg for arg in args.posonlyargs + args.args][1:]
+        body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+        plain = not (args.defaults or args.vararg or args.kwonlyargs or args.kwarg)
+        return plain and [ast.unparse(statement) for statement in body] == [
+            f"self._fill({', '.join(params)})"
+        ]
+
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and frozen(node.name):
+                found += [f"{module}.{node.name}.__init__" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                          and forwards(item)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if any(isinstance(part, ast.Attribute) and part.attr == "__set__"
+                       for part in ast.walk(node.value)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{module}.{name.id}" for target in targets
+                              for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return found
+
+
+def test_no_value_spells_its_fields_twice():
+    assert SOURCES
+    assert fields_spelled_twice({path.stem: path.read_text() for path in SOURCES}) == []
+    # the guard itself finds both spellings, and only them
+    source = """
+class Frozen:
+    __slots__ = ()
+
+class Sum(Frozen):
+    __slots__ = ()
+
+class Pair(Sum):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        "A pair."
+        self._fill(a, b)
+
+class Checked(Frozen):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0):
+        self._fill(a, b)
+
+class Plain:
+    def __init__(self, a):
+        self._fill(a)
+
+_set_a, _set_b = (getattr(Pair, name).__set__ for name in Pair.__slots__)
+"""
+    assert fields_spelled_twice({"m": source}) == ["m.Pair.__init__", "m._set_a", "m._set_b"]
